@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -137,13 +138,17 @@ def _cmd_rate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args, builder, saver, normalize: bool) -> int:
+    """construct / construct-inv*: invariant inputs are first scaled to unit
+    sample norm."""
     Z = _load_features(args.features)
+    if normalize:
+        Z = normalize_samples_time(Z)
     Pi = _load_membership(args.labels)
-    model, Z_out, curve = construct(
+    model, Z_out, curve = builder(
         Z, Pi, L=args.layers, eta=args.eta, eps=_resolve_eps(args), lam=args.lam
     )
-    save_model(args.model_out, model)
+    saver(args.model_out, model)
     if args.features_out:
         write_tensor(args.features_out, Tensor.from_array(Z_out))
     if args.loss_out:
@@ -156,10 +161,13 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_forward(args) -> int:
-    model = load_model(args.model)
-    Z = forward(model, _load_features(args.features))
-    write_tensor(args.out, Tensor.from_array(Z))
+def _cmd_forward(args, runner, loader, normalize: bool) -> int:
+    """forward / forward-inv*: the same input scaling as construction."""
+    model = loader(args.model)
+    Z = _load_features(args.features)
+    if normalize:
+        Z = normalize_samples_time(Z)
+    write_tensor(args.out, Tensor.from_array(runner(model, Z)))
     _write_manifest(args, args.out)
     return EXIT_OK
 
@@ -190,33 +198,6 @@ def _cmd_augment(args) -> int:
     write_tensor(args.out_features, Tensor.from_array(out))
     write_tensor(args.out_labels, Tensor.from_array(out_labels.astype("<u4")))
     _write_manifest(args, args.out_features)
-    return EXIT_OK
-
-
-def _construct_inv(args, builder) -> int:
-    Z = normalize_samples_time(_load_features(args.features))
-    Pi = _load_membership(args.labels)
-    model, Z_out, curve = builder(
-        Z, Pi, L=args.layers, eta=args.eta, eps=_resolve_eps(args), lam=args.lam
-    )
-    save_invariant_model(args.model_out, model)
-    if args.features_out:
-        write_tensor(args.features_out, Tensor.from_array(Z_out))
-    if args.loss_out:
-        _write_csv(
-            args.loss_out,
-            [[i, _fmt(R), _fmt(Rc), _fmt(dR)] for i, (R, Rc, dR) in enumerate(curve)],
-            header=["layer", "R", "Rc", "dR"],
-        )
-    _write_manifest(args, args.model_out)
-    return EXIT_OK
-
-
-def _forward_inv(args, runner) -> int:
-    model = load_invariant_model(args.model)
-    Z = normalize_samples_time(_load_features(args.features))
-    write_tensor(args.out, Tensor.from_array(runner(model, Z)))
-    _write_manifest(args, args.out)
     return EXIT_OK
 
 
@@ -326,15 +307,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps_flags(p)
     p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("construct", help="build a dense network layer by layer")
-    _add_construct_flags(p)
-    p.set_defaults(func=_cmd_construct)
+    for name, help_text, builder, saver, normalize in (
+        ("construct", "build a dense network layer by layer",
+         construct, save_model, False),
+        ("construct-inv1d", "build a shift-invariant network",
+         construct_inv1d, save_invariant_model, True),
+        ("construct-inv2d", "build a translation-invariant network",
+         construct_inv2d, save_invariant_model, True),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_construct_flags(p)
+        p.set_defaults(func=partial(_cmd_construct, builder=builder, saver=saver,
+                                    normalize=normalize))
 
-    p = sub.add_parser("forward", help="run features through a stored dense network")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_forward)
+    for name, help_text, runner, loader, normalize in (
+        ("forward", "run features through a stored dense network",
+         forward, load_model, False),
+        ("forward-inv1d", "run signals through a stored 1D network",
+         forward_inv1d, load_invariant_model, True),
+        ("forward-inv2d", "run images through a stored 2D network",
+         forward_inv2d, load_invariant_model, True),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--model", required=True)
+        p.add_argument("--features", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=partial(_cmd_forward, runner=runner, loader=loader,
+                                    normalize=normalize))
 
     p = sub.add_parser("lift1d", help="lift signals with random circular filters")
     p.add_argument("--features", required=True)
@@ -360,26 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
     p.set_defaults(func=_cmd_augment)
-
-    p = sub.add_parser("construct-inv1d", help="build a shift-invariant network")
-    _add_construct_flags(p)
-    p.set_defaults(func=lambda a: _construct_inv(a, construct_inv1d))
-
-    p = sub.add_parser("construct-inv2d", help="build a translation-invariant network")
-    _add_construct_flags(p)
-    p.set_defaults(func=lambda a: _construct_inv(a, construct_inv2d))
-
-    p = sub.add_parser("forward-inv1d", help="run signals through a stored 1D network")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=lambda a: _forward_inv(a, forward_inv1d))
-
-    p = sub.add_parser("forward-inv2d", help="run images through a stored 2D network")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=lambda a: _forward_inv(a, forward_inv2d))
 
     p = sub.add_parser("nsc-fit", help="fit the nearest-subspace classifier")
     p.add_argument("--features", required=True)

@@ -5,6 +5,10 @@ operators built from the training features at that depth. Construction is
 plain projected gradient ascent on the rate reduction, one layer per step,
 with the per-sample class weights estimated by a softmin over compression
 residual norms (never the labels, matching the stated construction).
+
+A dense network is the real one-frequency case of the invariant network:
+construction and evaluation run through the shared layer engine on the
+stack ``Z[None]``.
 """
 
 from __future__ import annotations
@@ -14,27 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DataError,
-    NumericError,
-    ShapeError,
-    TruncatedFileError,
-    VersionError,
-)
-from .rate import Membership, RateParams, compression_operator, expansion_operator, rate_reduction
+from . import _engine
+from .errors import DataError, NumericError, ShapeError
+from .rate import Membership
+from .tensorio import ContainerReader
 
 MODEL_MAGIC = b"RNM1"
 MODEL_VERSION = 1
 
-UNIT_NORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class DenseLayer:
+    """E is (n, n); C stacks the k compression operators as one (k, n, n)
+    array, which iterates class by class."""
+
     E: np.ndarray
-    C: tuple[np.ndarray, ...]
+    C: np.ndarray
     gamma_j: np.ndarray
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.E, self.C[:, None]
 
 
 @dataclass(frozen=True)
@@ -59,45 +63,22 @@ def sphere_project(z: np.ndarray) -> np.ndarray:
     return z / norm
 
 
-def _normalize_columns(Z: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(Z, axis=0)
-    if np.any(norms == 0):
-        raise NumericError("cannot project a zero column onto the sphere")
-    return Z / norms
-
-
 def estimate_membership(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """Softmin over lam * ||C_j z||: entries in [0,1], summing to one."""
     if lam < 0:
         raise DataError("lambda must be nonnegative")
-    scores = np.array([np.linalg.norm(Cj @ z) for Cj in layer.C])
-    return _softmin(lam * scores)
-
-
-def _softmin(scaled_scores: np.ndarray) -> np.ndarray:
-    shifted = scaled_scores - scaled_scores.min(axis=0)
-    w = np.exp(-shifted)
-    return w / w.sum(axis=0)
-
-
-def _batch_increment(Z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
-    """Increment for every column of Z with estimated memberships."""
-    CZ = np.stack([Cj @ Z for Cj in layer.C])  # (k, n, m)
-    scores = np.linalg.norm(CZ, axis=1)  # (k, m)
-    pi_hat = _softmin(lam * scores)  # (k, m)
-    weighted = np.einsum("j,jm,jnm->nm", layer.gamma_j, pi_hat, CZ)
-    return layer.E @ Z - weighted
+    _, C = layer.blocks
+    return _engine.membership(C @ np.reshape(z, (1, -1, 1)), lam).ravel()
 
 
 def layer_increment(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """E z - sum_j gamma_j pihat_j(z) C_j z for a single feature vector."""
-    return _batch_increment(z.reshape(-1, 1), layer, lam).ravel()
+    V = np.reshape(z, (1, -1, 1))
+    return _engine.increment(V, *layer.blocks, layer.gamma_j, lam).ravel()
 
 
-def _build_layer(Z: np.ndarray, Pi: Membership, params: RateParams) -> DenseLayer:
-    E = expansion_operator(Z, params)
-    C = tuple(compression_operator(Z, Pi, j, params) for j in range(Pi.k))
-    return DenseLayer(E=E, C=C, gamma_j=params.gamma_j.copy())
+def _dense_layer(E: np.ndarray, C: np.ndarray, gamma: np.ndarray) -> DenseLayer:
+    return DenseLayer(E=E[0], C=C[:, 0], gamma_j=gamma)
 
 
 def construct(
@@ -107,54 +88,20 @@ def construct(
     eta: float,
     eps: float,
     lam: float = 500.0,
-    check_gradient: bool = False,
-) -> tuple[ReduNetModel, np.ndarray, list[tuple[float, float, float]]]:
+) -> tuple[ReduNetModel, np.ndarray, _engine.LossCurve]:
     """Build the network layer by layer from unit-norm training features.
 
     Returns the model, the final features, and the per-layer loss curve
     (R, Rc, dR) recorded before each update, so entry 0 describes the input.
-
-    With ``check_gradient`` on, asserts at every layer that substituting the
-    true labels for the estimated memberships recovers the exact rate
-    gradient on the training columns (within 1e-9).
     """
-    Z = np.asarray(Z1, dtype=float).copy()
-    if L < 1:
-        raise DataError("at least one layer is required")
-    norms = np.linalg.norm(Z, axis=0)
-    if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
-        raise DataError("input columns must have unit norm")
-    if np.any(Pi.class_sizes <= 0):
-        raise DataError("every class must have nonzero total membership")
-    n = Z.shape[0]
-
-    layers: list[DenseLayer] = []
-    curve: list[tuple[float, float, float]] = []
-    for _ in range(L):
-        params = RateParams.compute(n, Pi, eps)
-        layer = _build_layer(Z, Pi, params)
-        curve.append(rate_reduction(Z, Pi, eps))
-        if check_gradient:
-            from .rate import rate_gradient
-
-            labeled = layer.E @ Z - np.einsum(
-                "j,jm,jnm->nm",
-                layer.gamma_j,
-                Pi.weights,
-                np.stack([Cj @ Z for Cj in layer.C]),
-            )
-            err = np.max(np.abs(labeled - rate_gradient(Z, Pi, params)))
-            if err > 1e-9:
-                raise NumericError(
-                    f"label-weighted increment deviates from the rate gradient by {err:.3e}"
-                )
-        layers.append(layer)
-        Z = _normalize_columns(Z + eta * _batch_increment(Z, layer, lam))
-
+    Z = np.asarray(Z1, dtype=float)
+    if Z.ndim != 2:
+        raise ShapeError(f"expected an (n, m) feature matrix, got shape {Z.shape}")
+    layers, V, curve = _engine.construct(Z[None], Pi, L, eta, eps, lam, _dense_layer)
     model = ReduNetModel(
-        layers=tuple(layers), eta=eta, lam=lam, eps=eps, n=n, k=Pi.k
+        layers=tuple(layers), eta=eta, lam=lam, eps=eps, n=Z.shape[0], k=Pi.k
     )
-    return model, Z, curve
+    return model, V[0], curve
 
 
 def forward(model: ReduNetModel, X: np.ndarray) -> np.ndarray:
@@ -164,10 +111,7 @@ def forward(model: ReduNetModel, X: np.ndarray) -> np.ndarray:
         return forward(model, Z.reshape(-1, 1)).ravel()
     if Z.shape[0] != model.n:
         raise ShapeError(f"expected {model.n} rows, got {Z.shape[0]}")
-    Z = Z.copy()
-    for layer in model.layers:
-        Z = _normalize_columns(Z + model.eta * _batch_increment(Z, layer, model.lam))
-    return Z
+    return _engine.forward(Z[None], model.layers, model.eta, model.lam)[0]
 
 
 def save_model(path, model: ReduNetModel) -> None:
@@ -180,39 +124,17 @@ def save_model(path, model: ReduNetModel) -> None:
         fh.write(np.ascontiguousarray(model.layers[0].gamma_j, dtype="<f8").tobytes())
         for layer in model.layers:
             fh.write(np.ascontiguousarray(layer.E, dtype="<f8").tobytes())
-            for Cj in layer.C:
-                fh.write(np.ascontiguousarray(Cj, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(layer.C, dtype="<f8").tobytes())
 
 
 def load_model(path) -> ReduNetModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MODEL_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MODEL_MAGIC!r}")
-    if len(blob) < 8:
-        raise TruncatedFileError(f"{path}: header truncated")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != MODEL_VERSION:
-        raise VersionError(f"{path}: unsupported model version {version}")
-    if len(blob) < 44:
-        raise TruncatedFileError(f"{path}: header truncated")
-    L, n, k = struct.unpack_from("<III", blob, 8)
-    eta, lam, eps = struct.unpack_from("<ddd", blob, 20)
-    offset = 44
-    expected = offset + 8 * k + L * (1 + k) * n * n * 8
-    if len(blob) < expected:
-        raise TruncatedFileError(
-            f"{path}: file has {len(blob)} bytes, format requires {expected}"
-        )
-    gamma = np.frombuffer(blob, dtype="<f8", count=k, offset=offset).copy()
-    offset += 8 * k
+    r = ContainerReader(path, MODEL_MAGIC, MODEL_VERSION)
+    L, n, k = r.unpack("<III")
+    eta, lam, eps = r.unpack("<ddd")
+    gamma = r.array("<f8", (k,))
+    r.require(L * (1 + k) * n * n * 8)
     layers = []
     for _ in range(L):
-        mats = np.frombuffer(
-            blob, dtype="<f8", count=(1 + k) * n * n, offset=offset
-        ).reshape(1 + k, n, n)
-        offset += (1 + k) * n * n * 8
-        layers.append(
-            DenseLayer(E=mats[0].copy(), C=tuple(m.copy() for m in mats[1:]), gamma_j=gamma)
-        )
+        E = r.array("<f8", (n, n))
+        layers.append(DenseLayer(E=E, C=r.array("<f8", (k, n, n)), gamma_j=gamma))
     return ReduNetModel(layers=tuple(layers), eta=eta, lam=lam, eps=eps, n=n, k=k)

@@ -42,6 +42,8 @@ class Membership:
         labels = np.asarray(labels, dtype=int).ravel()
         if k is None:
             k = int(labels.max()) + 1 if labels.size else 0
+        if labels.size and (labels.min() < 0 or labels.max() >= k):
+            raise DataError(f"labels must lie in 0..{k - 1}")
         w = np.zeros((k, labels.size))
         w[labels, np.arange(labels.size)] = 1.0
         return cls(w)

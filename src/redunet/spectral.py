@@ -16,20 +16,16 @@ in the test suite.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DataError,
-    NumericError,
-    ShapeError,
-    TruncatedFileError,
-    VersionError,
-)
+from . import _engine
+from .errors import BadMagicError, DataError, NumericError, ShapeError
 from .rate import Membership
+from .tensorio import ContainerReader
 
 INV_MAGIC = b"RNS1"
 INV_VERSION = 1
@@ -38,8 +34,7 @@ KIND_SHIFT1D = "shift1d"
 KIND_TRANSLATE2D = "translate2d"
 _KIND_CODES = {KIND_SHIFT1D: 1, KIND_TRANSLATE2D: 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-
-UNIT_NORM_TOL = 1e-9
+_KIND_AXES = {KIND_SHIFT1D: ("T",), KIND_TRANSLATE2D: ("H", "W")}
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +158,10 @@ class SpectralLayer:
     C_hat: np.ndarray
     gamma_j: np.ndarray
 
+    @property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.E_hat, self.C_hat
+
 
 @dataclass(frozen=True)
 class InvariantModel:
@@ -180,134 +179,27 @@ class InvariantModel:
         return len(self.layers)
 
 
-def _hpd_inverse_stack(A: np.ndarray) -> np.ndarray:
-    """Inverse of a stack of Hermitian positive definite matrices via
-    Cholesky, failing loudly if definiteness is lost."""
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("per-frequency operator argument is not positive definite") from exc
-    Linv = np.linalg.inv(L)
-    return np.einsum("...ba,...bc->...ac", Linv.conj(), Linv)
-
-
-def _build_spectral_ops(
-    V: np.ndarray, Pi: Membership, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frequency expansion and compression operators from spectral
-    features V of shape (P, C, m)."""
-    P, C, m = V.shape
-    alpha = C / (m * eps**2)
-    eye = np.eye(C)
-    cov = np.einsum("pcm,pdm->pcd", V, V.conj())
-    E_hat = alpha * _hpd_inverse_stack(eye + (alpha * P) * cov)
-    sizes = Pi.class_sizes
-    C_hat = np.empty((Pi.k, P, C, C), dtype=complex)
-    for j in range(Pi.k):
-        if sizes[j] <= 0:
-            raise DataError(f"class {j} has zero total membership")
-        aj = C / (sizes[j] * eps**2)
-        cov_j = np.einsum("pcm,m,pdm->pcd", V, Pi.weights[j], V.conj())
-        C_hat[j] = aj * _hpd_inverse_stack(eye + (aj * P) * cov_j)
-    return E_hat, C_hat, Pi.class_sizes / m
-
-
 def spectral_rate_reduction(
     V: np.ndarray, Pi: Membership, eps: float
 ) -> tuple[float, float, float]:
     """Shift-invariant rate reduction evaluated from spectral features
     (P, C, m): the rates of the full shift family, divided by the number of
     copies it contains."""
-    P, C, m = V.shape
-    alpha = C / (m * eps**2)
-    eye = np.eye(C)
-
-    def stack_logdet(A: np.ndarray) -> float:
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("rate argument is not positive definite") from exc
-        return 2.0 * float(np.sum(np.log(np.real(np.diagonal(L, axis1=-2, axis2=-1)))))
-
-    cov = np.einsum("pcm,pdm->pcd", V, V.conj())
-    R = stack_logdet(eye + (alpha * P) * cov) / (2 * P)
-    Rc = 0.0
-    sizes = Pi.class_sizes
-    for j in range(Pi.k):
-        if sizes[j] <= 0:
-            continue
-        aj = C / (sizes[j] * eps**2)
-        cov_j = np.einsum("pcm,m,pdm->pcd", V, Pi.weights[j], V.conj())
-        Rc += (sizes[j] / m) * stack_logdet(eye + (aj * P) * cov_j) / (2 * P)
-    return R, Rc, R - Rc
+    _, L = _engine.factor(V, Pi, eps)
+    return _engine.rates(L, Pi.class_sizes / Pi.m)
 
 
-def _softmin(scaled_scores: np.ndarray) -> np.ndarray:
-    shifted = scaled_scores - scaled_scores.min(axis=0)
-    w = np.exp(-shifted)
-    return w / w.sum(axis=0)
-
-
-def _spectral_increment(V: np.ndarray, layer: SpectralLayer, lam: float) -> np.ndarray:
-    """Update direction in the spectral domain with estimated memberships,
-    aggregating projection energy over all frequencies for the softmin."""
-    CV = np.einsum("jpab,pbm->jpam", layer.C_hat, V)
-    scores = np.sqrt(np.sum(np.abs(CV) ** 2, axis=(1, 2)))  # (k, m)
-    pi_hat = _softmin(lam * scores)
-    EV = np.einsum("pab,pbm->pam", layer.E_hat, V)
-    return EV - np.einsum("j,jm,jpam->pam", layer.gamma_j, pi_hat, CV)
-
-
-def _normalize_samples(V: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.sum(np.abs(V) ** 2, axis=(0, 1)))
-    if np.any(norms == 0):
-        raise NumericError("a sample collapsed to zero during the update")
-    return V / norms
-
-
-def _run_construction(
-    V: np.ndarray, Pi: Membership, L: int, eta: float, eps: float, lam: float
-) -> tuple[list[SpectralLayer], np.ndarray, list[tuple[float, float, float]]]:
-    layers: list[SpectralLayer] = []
-    curve: list[tuple[float, float, float]] = []
-    for _ in range(L):
-        E_hat, C_hat, gamma = _build_spectral_ops(V, Pi, eps)
-        layer = SpectralLayer(E_hat=E_hat, C_hat=C_hat, gamma_j=gamma)
-        curve.append(spectral_rate_reduction(V, Pi, eps))
-        layers.append(layer)
-        V = _normalize_samples(V + eta * _spectral_increment(V, layer, lam))
-    return layers, V, curve
-
-
-def _to_spectral_1d(Zbar: np.ndarray) -> np.ndarray:
-    """(m, C, T) real -> (T, C, m) complex unitary spectra."""
-    V = dft_1d(Zbar)  # (m, C, T)
+def _to_spectral(Zbar: np.ndarray) -> np.ndarray:
+    """(m, C, *dims) real -> (P, C, m) complex unitary spectra."""
+    m, C = Zbar.shape[:2]
+    V = (dft_1d(Zbar) if Zbar.ndim == 3 else dft_2d(Zbar)).reshape(m, C, -1)
     return np.ascontiguousarray(np.transpose(V, (2, 1, 0)))
 
 
-def _from_spectral_1d(V: np.ndarray) -> np.ndarray:
-    Z = idft_1d(np.transpose(V, (2, 1, 0)))
-    return np.real(Z)
-
-
-def _to_spectral_2d(Zbar: np.ndarray) -> np.ndarray:
-    """(m, C, H, W) real -> (H*W, C, m) complex unitary spectra."""
-    m, C, H, W = Zbar.shape
-    V = dft_2d(Zbar).reshape(m, C, H * W)
-    return np.ascontiguousarray(np.transpose(V, (2, 1, 0)))
-
-
-def _from_spectral_2d(V: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    H, W = dims
+def _from_spectral(V: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     P, C, m = V.shape
-    Z = np.transpose(V, (2, 1, 0)).reshape(m, C, H, W)
-    return np.real(idft_2d(Z))
-
-
-def _check_unit_samples(Zbar: np.ndarray) -> None:
-    norms = np.sqrt(np.sum(Zbar**2, axis=tuple(range(1, Zbar.ndim))))
-    if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
-        raise DataError("each sample must have unit Frobenius norm")
+    Z = np.transpose(V, (2, 1, 0)).reshape(m, C, *dims)
+    return np.real(idft_1d(Z) if len(dims) == 1 else idft_2d(Z))
 
 
 def normalize_samples_time(Zbar: np.ndarray) -> np.ndarray:
@@ -319,91 +211,67 @@ def normalize_samples_time(Zbar: np.ndarray) -> np.ndarray:
     return Zbar / norms
 
 
+def _construct_inv(
+    kind: str, Zbar: np.ndarray, Pi: Membership, L: int, eta: float, eps: float, lam: float
+) -> tuple[InvariantModel, np.ndarray, _engine.LossCurve]:
+    Zbar = np.asarray(Zbar, dtype=float)
+    axes = _KIND_AXES[kind]
+    if Zbar.ndim != 2 + len(axes):
+        raise ShapeError(f"expected (m, C, {', '.join(axes)}) input")
+    layers, V, curve = _engine.construct(
+        _to_spectral(Zbar), Pi, L, eta, eps, lam, SpectralLayer
+    )
+    model = InvariantModel(
+        kind=kind,
+        layers=tuple(layers),
+        eta=eta,
+        lam=lam,
+        eps=eps,
+        channels=Zbar.shape[1],
+        dims=Zbar.shape[2:],
+        k=Pi.k,
+    )
+    return model, _from_spectral(V, model.dims), curve
+
+
 def construct_inv1d(
     Zbar: np.ndarray, Pi: Membership, L: int, eta: float, eps: float, lam: float = 500.0
-) -> tuple[InvariantModel, np.ndarray, list[tuple[float, float, float]]]:
+) -> tuple[InvariantModel, np.ndarray, _engine.LossCurve]:
     """Build the shift-invariant network from (m, C, T) unit-norm samples.
 
     All work happens on the per-frequency spectra; the returned features are
     transformed back to the time domain.
     """
-    Zbar = np.asarray(Zbar, dtype=float)
-    if Zbar.ndim != 3:
-        raise ShapeError("expected (m, C, T) input")
-    if L < 1:
-        raise DataError("at least one layer is required")
-    _check_unit_samples(Zbar)
-    m, C, T = Zbar.shape
-    layers, V, curve = _run_construction(_to_spectral_1d(Zbar), Pi, L, eta, eps, lam)
-    model = InvariantModel(
-        kind=KIND_SHIFT1D,
-        layers=tuple(layers),
-        eta=eta,
-        lam=lam,
-        eps=eps,
-        channels=C,
-        dims=(T,),
-        k=Pi.k,
-    )
-    return model, _from_spectral_1d(V), curve
+    return _construct_inv(KIND_SHIFT1D, Zbar, Pi, L, eta, eps, lam)
 
 
 def construct_inv2d(
     Zbar: np.ndarray, Pi: Membership, L: int, eta: float, eps: float, lam: float = 500.0
-) -> tuple[InvariantModel, np.ndarray, list[tuple[float, float, float]]]:
+) -> tuple[InvariantModel, np.ndarray, _engine.LossCurve]:
     """2D analog of :func:`construct_inv1d` for (m, C, H, W) samples."""
+    return _construct_inv(KIND_TRANSLATE2D, Zbar, Pi, L, eta, eps, lam)
+
+
+def _forward_inv(kind: str, model: InvariantModel, Zbar: np.ndarray) -> np.ndarray:
     Zbar = np.asarray(Zbar, dtype=float)
-    if Zbar.ndim != 4:
-        raise ShapeError("expected (m, C, H, W) input")
-    if L < 1:
-        raise DataError("at least one layer is required")
-    _check_unit_samples(Zbar)
-    m, C, H, W = Zbar.shape
-    layers, V, curve = _run_construction(_to_spectral_2d(Zbar), Pi, L, eta, eps, lam)
-    model = InvariantModel(
-        kind=KIND_TRANSLATE2D,
-        layers=tuple(layers),
-        eta=eta,
-        lam=lam,
-        eps=eps,
-        channels=C,
-        dims=(H, W),
-        k=Pi.k,
-    )
-    return model, _from_spectral_2d(V, (H, W)), curve
-
-
-def _forward_spectral(model: InvariantModel, V: np.ndarray) -> np.ndarray:
-    for layer in model.layers:
-        V = _normalize_samples(V + model.eta * _spectral_increment(V, layer, model.lam))
-    return V
+    if model.kind != kind:
+        raise ShapeError(f"model was built for {model.kind}, not {kind}")
+    expected = (model.channels, *model.dims)
+    if Zbar.shape[1:] != expected:
+        raise ShapeError(f"expected (m, {', '.join(map(str, expected))}) input, got {Zbar.shape}")
+    V = _engine.forward(_to_spectral(Zbar), model.layers, model.eta, model.lam)
+    return _from_spectral(V, model.dims)
 
 
 def forward_inv1d(model: InvariantModel, Zbar: np.ndarray) -> np.ndarray:
     """Evaluate the stored layers on new (m, C, T) samples; commutes exactly
     with cyclic shifts of the input."""
-    Zbar = np.asarray(Zbar, dtype=float)
-    if model.kind != KIND_SHIFT1D:
-        raise ShapeError("model was built for 2D translation invariance")
-    if Zbar.ndim != 3 or Zbar.shape[1] != model.channels or Zbar.shape[2] != model.dims[0]:
-        raise ShapeError(
-            f"expected (m, {model.channels}, {model.dims[0]}) input, got {Zbar.shape}"
-        )
-    V = _forward_spectral(model, _to_spectral_1d(Zbar))
-    return _from_spectral_1d(V)
+    return _forward_inv(KIND_SHIFT1D, model, Zbar)
 
 
 def forward_inv2d(model: InvariantModel, Zbar: np.ndarray) -> np.ndarray:
-    Zbar = np.asarray(Zbar, dtype=float)
-    if model.kind != KIND_TRANSLATE2D:
-        raise ShapeError("model was built for 1D shift invariance")
-    if Zbar.ndim != 4 or Zbar.shape[1:] != (model.channels, *model.dims):
-        raise ShapeError(
-            f"expected (m, {model.channels}, {model.dims[0]}, {model.dims[1]}) input, "
-            f"got {Zbar.shape}"
-        )
-    V = _forward_spectral(model, _to_spectral_2d(Zbar))
-    return _from_spectral_2d(V, model.dims)  # type: ignore[arg-type]
+    """2D analog of :func:`forward_inv1d` for (m, C, H, W) samples."""
+    return _forward_inv(KIND_TRANSLATE2D, model, Zbar)
 
 
 # ---------------------------------------------------------------------------
@@ -427,46 +295,22 @@ def save_invariant_model(path, model: InvariantModel) -> None:
 
 
 def load_invariant_model(path) -> InvariantModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != INV_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {INV_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != INV_VERSION:
-        raise VersionError(f"{path}: unsupported model version {version}")
-    (kind_code,) = struct.unpack_from("<B", blob, 8)
+    r = ContainerReader(path, INV_MAGIC, INV_VERSION)
+    (kind_code,) = r.unpack("<B")
     if kind_code not in _KIND_NAMES:
         raise BadMagicError(f"{path}: unknown model kind {kind_code}")
     kind = _KIND_NAMES[kind_code]
-    ndims = 1 if kind == KIND_SHIFT1D else 2
-    offset = 9
-    (channels,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    dims = struct.unpack_from(f"<{ndims}I", blob, offset)
-    offset += 4 * ndims
-    k, L = struct.unpack_from("<II", blob, offset)
-    offset += 8
-    eta, lam, eps = struct.unpack_from("<ddd", blob, offset)
-    offset += 24
-    P = int(np.prod(dims))
-    per_layer = (1 + k) * P * channels * channels * 16
-    expected = offset + 8 * k + L * per_layer
-    if len(blob) < expected:
-        raise TruncatedFileError(
-            f"{path}: file has {len(blob)} bytes, format requires {expected}"
-        )
-    gamma = np.frombuffer(blob, dtype="<f8", count=k, offset=offset).copy()
-    offset += 8 * k
+    (channels,) = r.unpack("<I")
+    dims = r.unpack(f"<{len(_KIND_AXES[kind])}I")
+    k, L = r.unpack("<II")
+    eta, lam, eps = r.unpack("<ddd")
+    gamma = r.array("<f8", (k,))
+    P = math.prod(dims)
+    r.require(L * (1 + k) * P * channels * channels * 16)
     layers = []
     for _ in range(L):
-        E_hat = np.frombuffer(
-            blob, dtype="<c16", count=P * channels * channels, offset=offset
-        ).reshape(P, channels, channels).copy()
-        offset += P * channels * channels * 16
-        C_hat = np.frombuffer(
-            blob, dtype="<c16", count=k * P * channels * channels, offset=offset
-        ).reshape(k, P, channels, channels).copy()
-        offset += k * P * channels * channels * 16
+        E_hat = r.array("<c16", (P, channels, channels))
+        C_hat = r.array("<c16", (k, P, channels, channels))
         layers.append(SpectralLayer(E_hat=E_hat, C_hat=C_hat, gamma_j=gamma))
     return InvariantModel(
         kind=kind,
@@ -475,6 +319,6 @@ def load_invariant_model(path) -> InvariantModel:
         lam=lam,
         eps=eps,
         channels=channels,
-        dims=tuple(int(d) for d in dims),
+        dims=dims,
         k=k,
     )

@@ -1,4 +1,5 @@
-"""Dense tensor container, the RTF1 on-disk format, and IDX ingestion.
+"""Dense tensor container, the RTF1 on-disk format, IDX ingestion, and the
+bounds-checked reader behind the RNM1/RNS1 model loaders.
 
 RTF1 layout (little-endian throughout):
 
@@ -13,6 +14,7 @@ All real payloads are 64-bit; label payloads are uint32.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -23,6 +25,7 @@ from .errors import (
     ShapeError,
     TruncatedFileError,
     UnknownDtypeError,
+    VersionError,
 )
 
 MAGIC = b"RTF1"
@@ -118,6 +121,49 @@ def read_tensor(path) -> Tensor:
         )
     data = np.frombuffer(payload[:nbytes], dtype=np_dtype).copy()
     return Tensor(shape=tuple(int(s) for s in shape), data=data, dtype=dtype)
+
+
+class ContainerReader:
+    """Reads a model container front to back: magic and version on opening,
+    then header fields and arrays. Every read is checked against the file
+    length, so a short file raises TruncatedFileError, never a bare struct or
+    numpy error."""
+
+    def __init__(self, path, magic: bytes, version: int) -> None:
+        with open(path, "rb") as fh:
+            self.blob = fh.read()
+        self.path = path
+        self.offset = 0
+        if not magic.startswith(self.blob[: len(magic)]):
+            raise BadMagicError(f"{path}: expected magic {magic!r}")
+        self._advance(len(magic))
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise VersionError(f"{path}: unsupported model version {found}")
+
+    def require(self, nbytes: int) -> None:
+        """Fail unless ``nbytes`` more bytes follow the current offset."""
+        if self.offset + nbytes > len(self.blob):
+            raise TruncatedFileError(
+                f"{self.path}: file has {len(self.blob)} bytes, format requires "
+                f"{self.offset + nbytes}"
+            )
+
+    def _advance(self, nbytes: int) -> int:
+        self.require(nbytes)
+        start = self.offset
+        self.offset += nbytes
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A fresh copy of the next prod(shape) elements."""
+        dt = np.dtype(dtype)
+        count = math.prod(shape)
+        start = self._advance(count * dt.itemsize)
+        return np.frombuffer(self.blob, dtype=dt, count=count, offset=start).reshape(shape).copy()
 
 
 def read_idx(path) -> Tensor:

@@ -217,3 +217,25 @@ def test_numeric_failure_exits_4(tmp_path):
     proc = run_cli("rate", "--features", feats, "--labels", labels,
                    "--eps", "0.5")
     assert proc.returncode == 4
+
+
+def test_construct_with_fewer_labels_than_samples_exits_3(tmp_path):
+    feats, _ = _gen(tmp_path)
+    labels = tmp_path / "short.rtf"
+    write_tensor(labels, Tensor.from_array(np.zeros(119, dtype=np.uint32)))
+    proc = run_cli("construct", "--features", feats, "--labels", labels,
+                   "--layers", "1", "--eta", "0.5", "--eps", "0.1",
+                   "--model-out", tmp_path / "model.rnm")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
+def test_forward_inv1d_on_a_truncated_model_exits_3(tmp_path):
+    model = tmp_path / "short.rns"
+    model.write_bytes(b"RNS1")
+    feats = tmp_path / "sig.rtf"
+    write_tensor(feats, Tensor.from_array(np.ones((2, 3, 4))))
+    proc = run_cli("forward-inv1d", "--model", model, "--features", feats,
+                   "--out", tmp_path / "out.rtf")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """Dense network construction, replay, and the RNM1 container."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,18 @@ from redunet import (
     DataError,
     Membership,
     NumericError,
+    RateParams,
+    ShapeError,
     TruncatedFileError,
     VersionError,
+    compression_operator,
     construct,
     estimate_membership,
+    expansion_operator,
     forward,
     layer_increment,
     load_model,
+    rate_gradient,
     save_model,
     sphere_project,
 )
@@ -41,15 +48,60 @@ def test_construct_reports_loss_curve_per_layer():
     assert curve[0] == pytest.approx(rate_reduction(Z, Pi, 0.3))
 
 
+def test_loss_curve_reads_as_a_list_of_float_triples():
+    Z, Pi = _toy_problem()
+    _, _, curve = construct(Z, Pi, L=3, eta=0.5, eps=0.3)
+    as_list = [tuple(map(float, row)) for row in curve.values]
+    assert curve == as_list and as_list == list(curve)
+    assert curve[-1] == as_list[-1] and curve[1:] == as_list[1:]
+    assert np.asarray(curve).shape == (3, 3)
+
+
 def test_forward_replays_construction_exactly():
     Z, Pi = _toy_problem(seed=1)
     model, Z_out, _ = construct(Z, Pi, L=6, eta=0.5, eps=0.3)
     np.testing.assert_array_equal(forward(model, Z), Z_out)
 
 
+def _layer_inputs(model, Z):
+    """The features each stored layer was built from."""
+    inputs = [Z]
+    for depth in range(1, model.depth):
+        inputs.append(forward(replace(model, layers=model.layers[:depth]), Z))
+    return inputs
+
+
 def test_construct_gradient_diagnostic_passes():
+    # with the true labels in place of the estimated memberships, every
+    # stored layer's increment is the exact rate gradient at its input
     Z, Pi = _toy_problem(seed=2)
-    construct(Z, Pi, L=3, eta=0.1, eps=0.5, check_gradient=True)
+    model, _, _ = construct(Z, Pi, L=3, eta=0.1, eps=0.5)
+    for layer, Zl in zip(model.layers, _layer_inputs(model, Z)):
+        labeled = layer.E @ Zl - sum(
+            g * (Cj @ (Zl * w)) for g, Cj, w in zip(layer.gamma_j, layer.C, Pi.weights)
+        )
+        grad = rate_gradient(Zl, Pi, RateParams.compute(Z.shape[0], Pi, 0.5))
+        assert np.max(np.abs(labeled - grad)) <= 1e-9
+
+
+def test_layer_operators_match_rate_reference():
+    Z, Pi = _toy_problem(seed=12)
+    model, _, _ = construct(Z, Pi, L=4, eta=0.5, eps=0.3)
+    for layer, Zl in zip(model.layers, _layer_inputs(model, Z)):
+        params = RateParams.compute(Z.shape[0], Pi, 0.3)
+        assert layer.C.shape == (Pi.k, Z.shape[0], Z.shape[0])
+        np.testing.assert_allclose(layer.E, expansion_operator(Zl, params), rtol=0, atol=1e-12)
+        for j, Cj in enumerate(layer.C):
+            np.testing.assert_allclose(
+                Cj, compression_operator(Zl, Pi, j, params), rtol=0, atol=1e-12
+            )
+
+
+def test_construct_rejects_membership_of_another_sample_count():
+    Z, _ = _toy_problem(n=3, k=3, per_class=1)
+    Z = np.hstack([Z, Z[:, :1]])  # 4 samples, 3 labels
+    with pytest.raises(ShapeError):
+        construct(Z, Membership.from_labels([0, 1, 2]), L=1, eta=0.5, eps=0.3)
 
 
 def test_output_columns_stay_on_sphere():
@@ -103,8 +155,6 @@ def test_sphere_project():
 def test_forward_rejects_wrong_width():
     Z, Pi = _toy_problem()
     model, _, _ = construct(Z, Pi, L=1, eta=0.5, eps=0.3)
-    from redunet import ShapeError
-
     with pytest.raises(ShapeError):
         forward(model, np.ones((Z.shape[0] + 1, 2)))
 
@@ -156,3 +206,16 @@ def test_model_load_failures(tmp_path):
     bad.write_bytes(blob[:-16])
     with pytest.raises(TruncatedFileError):
         load_model(bad)
+
+
+def test_every_proper_prefix_of_a_model_file_is_truncated(tmp_path):
+    Z, Pi = _toy_problem(seed=10, n=3, k=2, per_class=3)
+    model, _, _ = construct(Z, Pi, L=2, eta=0.5, eps=0.3)
+    path = tmp_path / "model.rnm"
+    save_model(path, model)
+    blob = path.read_bytes()
+    bad = tmp_path / "prefix.rnm"
+    for size in range(len(blob)):
+        bad.write_bytes(blob[:size])
+        with pytest.raises(TruncatedFileError):
+            load_model(bad)

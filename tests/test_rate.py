@@ -175,3 +175,10 @@ def test_expansion_operator_is_symmetric_pd():
     evals = np.linalg.eigvalsh(E)
     assert evals.min() > 0
     assert evals.max() <= params.alpha * (1 + 1e-12)
+
+
+def test_membership_rejects_labels_outside_the_classes():
+    with pytest.raises(DataError):
+        Membership.from_labels([-1, 0])
+    with pytest.raises(DataError):
+        Membership.from_labels([0, 3], k=3)

@@ -32,7 +32,7 @@ from redunet import (
     soft_threshold,
     spectral_rate_reduction,
 )
-from redunet.spectral import _to_spectral_1d
+from redunet.spectral import _to_spectral
 
 
 def _samples_1d(seed=0, m=3, C=2, T=4, k=2):
@@ -110,7 +110,7 @@ def test_spectral_rate_matches_circulant_family_rate():
     A = np.hstack([family_1d(z) for z in Z])
     Pi_big = Membership.from_labels(np.repeat(labels, T), k=Pi.k)
     R_big, Rc_big, dR_big = rate_reduction(A, Pi_big, 0.1)
-    R, Rc, dR = spectral_rate_reduction(_to_spectral_1d(Z), Pi, 0.1)
+    R, Rc, dR = spectral_rate_reduction(_to_spectral(Z), Pi, 0.1)
     assert R == pytest.approx(R_big / T, abs=1e-10)
     assert Rc == pytest.approx(Rc_big / T, abs=1e-10)
     assert dR == pytest.approx(dR_big / T, abs=1e-10)
@@ -185,6 +185,12 @@ def test_construct_inv_validates_input():
         construct_inv1d(Z, Pi, L=0, eta=0.5, eps=0.1)
     with pytest.raises(ShapeError):
         construct_inv1d(Z[:, 0], Pi, L=1, eta=0.5, eps=0.1)
+
+
+def test_construct_inv_rejects_membership_of_another_sample_count():
+    Z, _, _ = _samples_1d(m=4)
+    with pytest.raises(ShapeError):
+        construct_inv1d(Z, Membership.from_labels([0, 1, 0]), L=1, eta=0.5, eps=0.1)
 
 
 def test_forward_checks_model_kind_and_shape():
@@ -284,3 +290,21 @@ def test_lifting_threshold_sparsifies():
 def test_lifting_rejects_oversized_kernel():
     with pytest.raises(DataError):
         lift_random_filters_1d(np.zeros((2, 4)), C=2, K=5, seed=0)
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_every_proper_prefix_of_an_invariant_model_file_is_truncated(tmp_path, dim):
+    if dim == "1d":
+        Z, _, Pi = _samples_1d(seed=13, T=2)
+        model, _, _ = construct_inv1d(Z, Pi, L=2, eta=0.5, eps=0.1)
+    else:
+        Z, _, Pi = _samples_2d(seed=13, H=2, W=2)
+        model, _, _ = construct_inv2d(Z, Pi, L=1, eta=0.5, eps=0.1)
+    path = tmp_path / "model.rns"
+    save_invariant_model(path, model)
+    blob = path.read_bytes()
+    bad = tmp_path / "prefix.rns"
+    for size in range(len(blob)):
+        bad.write_bytes(blob[:size])
+        with pytest.raises(TruncatedFileError):
+            load_invariant_model(bad)
