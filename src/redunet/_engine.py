@@ -17,6 +17,7 @@ readable per-matrix reference the engine is tested against.
 
 A layer is any object with ``gamma_j`` and ``blocks``, the pair (E, C) in
 stack layout: E broadcasts against (P, d, d) and C against (k, P, d, d).
+The RNM1 and RNS1 containers store layers in that layout (:func:`write_layers`).
 """
 
 from __future__ import annotations
@@ -172,3 +173,28 @@ def forward(V: np.ndarray, layers, eta: float, lam: float) -> np.ndarray:
     for layer in layers:
         V = step(V, layer, eta, lam)
     return V
+
+
+def write_layers(path, header: bytes, layers, dtype: str) -> None:
+    """A model container: ``header``, then the layer stream, which is gamma
+    as float64 and per layer E and C^1..C^k in stack layout as ``dtype``."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(layers[0].gamma_j, dtype="<f8").tobytes())
+        for layer in layers:
+            for block in layer.blocks:
+                fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
+
+
+def read_layers(r, dtype: str, L: int, k: int, P: int, d: int, make_layer) -> tuple:
+    """Inverse of :func:`write_layers` from a ContainerReader positioned after
+    the header; the stream must end the file. Layers are made by
+    ``make_layer(E, C, gamma)``, as in :func:`construct`."""
+    if P * d == 0:
+        raise ShapeError(f"{r.path}: a model needs nonempty layer blocks")
+    gamma = r.array("<f8", (k,))
+    r.require(L * (1 + k) * P * d * d * np.dtype(dtype).itemsize)
+    layers = tuple(make_layer(r.array(dtype, (P, d, d)), r.array(dtype, (k, P, d, d)), gamma)
+                   for _ in range(L))
+    r.end()
+    return layers

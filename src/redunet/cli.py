@@ -6,7 +6,7 @@ metrics. Outputs are RTF1 tensors, RNM1/RNS1 models, and RFC-4180 CSV;
 each command also writes a JSON manifest next to its first output so runs
 can be reproduced.
 
-Exit codes: 0 success, 2 usage error, 3 malformed data, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 malformed data or file I/O, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .datagen import (
     polar_resample,
 )
 from .dense import construct, forward, load_model, save_model
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, ShapeError
 from .rate import Membership, rate_reduction
 from .spectral import (
     construct_inv1d,
@@ -85,11 +85,10 @@ def _load_features(path: str) -> np.ndarray:
 
 
 def _load_labels(path: str) -> np.ndarray:
-    return read_tensor(path).to_array().astype(int).ravel()
-
-
-def _load_membership(path: str, k: int | None = None) -> Membership:
-    return Membership.from_labels(_load_labels(path), k=k)
+    labels = read_tensor(path).to_array().ravel()
+    if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
+        raise DataError(f"{path}: labels must be whole numbers")
+    return labels.astype(int)
 
 
 def _write_csv(path: str | None, rows, header=None) -> None:
@@ -129,10 +128,7 @@ def _cmd_gen_gaussians(args) -> int:
 
 def _cmd_rate(args) -> int:
     Z = _load_features(args.features)
-    if Z.ndim != 2 or Z.shape[1] == 0:
-        print("0,0,0")
-        return EXIT_OK
-    Pi = _load_membership(args.labels)
+    Pi = Membership.from_labels(_load_labels(args.labels))
     R, Rc, dR = rate_reduction(Z, Pi, _resolve_eps(args))
     print(f"{_fmt(R)},{_fmt(Rc)},{_fmt(dR)}")
     return EXIT_OK
@@ -144,7 +140,7 @@ def _cmd_construct(args, builder, saver, normalize: bool) -> int:
     Z = _load_features(args.features)
     if normalize:
         Z = normalize_samples_time(Z)
-    Pi = _load_membership(args.labels)
+    Pi = Membership.from_labels(_load_labels(args.labels))
     model, Z_out, curve = builder(
         Z, Pi, L=args.layers, eta=args.eta, eps=_resolve_eps(args), lam=args.lam
     )
@@ -209,8 +205,7 @@ def _cmd_nsc_fit(args) -> int:
     bundle.mkdir(parents=True, exist_ok=True)
     write_tensor(bundle / "means.rtf", Tensor.from_array(clf.means))
     for j, U in enumerate(clf.bases):
-        arr = U if U.size else np.zeros((clf.n, 1))
-        write_tensor(bundle / f"basis_{j}.rtf", Tensor.from_array(arr))
+        write_tensor(bundle / f"basis_{j}.rtf", Tensor.from_array(U))
     dims = ",".join(str(U.shape[1]) for U in clf.bases)
     (bundle / "manifest.txt").write_text(
         f"classes={clf.k}\nr={args.r}\nbasis_dims={dims}\n"
@@ -220,18 +215,16 @@ def _cmd_nsc_fit(args) -> int:
 
 
 def _load_nsc_bundle(path: str) -> SubspaceClassifier:
+    """means.rtf (k, n), then basis_j.rtf (n, r_j) for each class; the
+    bundle's manifest.txt is informational and not read."""
     bundle = Path(path)
     means = read_tensor(bundle / "means.rtf").to_array()
-    dims_line = [
-        line for line in (bundle / "manifest.txt").read_text().splitlines()
-        if line.startswith("basis_dims=")
-    ][0]
-    dims = [int(d) for d in dims_line.split("=", 1)[1].split(",")]
-    bases = []
-    for j, dim in enumerate(dims):
-        U = read_tensor(bundle / f"basis_{j}.rtf").to_array()
-        bases.append(U[:, :dim])
-    return SubspaceClassifier(means=means, bases=tuple(bases))
+    if means.ndim != 2:
+        raise ShapeError(f"{path}: means must be a (k, n) matrix, got shape {means.shape}")
+    bases = tuple(read_tensor(bundle / f"basis_{j}.rtf").to_array() for j in range(len(means)))
+    if any(U.ndim != 2 or U.shape[0] != means.shape[1] for U in bases):
+        raise ShapeError(f"{path}: every basis must have {means.shape[1]} rows")
+    return SubspaceClassifier(means=means, bases=bases)
 
 
 def _cmd_nsc_predict(args) -> int:
@@ -399,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

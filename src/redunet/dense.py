@@ -116,25 +116,13 @@ def forward(model: ReduNetModel, X: np.ndarray) -> np.ndarray:
 
 def save_model(path, model: ReduNetModel) -> None:
     """RNM1 container: header, gammas, then per layer E and C^1..C^k."""
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(struct.pack("<III", model.depth, model.n, model.k))
-        fh.write(struct.pack("<ddd", model.eta, model.lam, model.eps))
-        fh.write(np.ascontiguousarray(model.layers[0].gamma_j, dtype="<f8").tobytes())
-        for layer in model.layers:
-            fh.write(np.ascontiguousarray(layer.E, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.C, dtype="<f8").tobytes())
+    header = MODEL_MAGIC + struct.pack("<4I3d", MODEL_VERSION, model.depth, model.n, model.k,
+                                       model.eta, model.lam, model.eps)
+    _engine.write_layers(path, header, model.layers, "<f8")
 
 
 def load_model(path) -> ReduNetModel:
     r = ContainerReader(path, MODEL_MAGIC, MODEL_VERSION)
-    L, n, k = r.unpack("<III")
-    eta, lam, eps = r.unpack("<ddd")
-    gamma = r.array("<f8", (k,))
-    r.require(L * (1 + k) * n * n * 8)
-    layers = []
-    for _ in range(L):
-        E = r.array("<f8", (n, n))
-        layers.append(DenseLayer(E=E, C=r.array("<f8", (k, n, n)), gamma_j=gamma))
-    return ReduNetModel(layers=tuple(layers), eta=eta, lam=lam, eps=eps, n=n, k=k)
+    L, n, k, eta, lam, eps = r.unpack("<3I3d")
+    layers = _engine.read_layers(r, "<f8", L, k, 1, n, _dense_layer)
+    return ReduNetModel(layers=layers, eta=eta, lam=lam, eps=eps, n=n, k=k)

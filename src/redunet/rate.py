@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyClassError, NumericError
+from .errors import DataError, EmptyClassError, NumericError, ShapeError
 
 COLUMN_SUM_TOL = 1e-9
 
@@ -86,8 +86,10 @@ class RateParams:
         )
 
 
-def _check_finite(Z: np.ndarray) -> np.ndarray:
+def _check_features(Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] == 0:
+        raise ShapeError(f"expected an (n, m) feature matrix with m >= 1, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise NumericError("feature matrix contains non-finite entries")
     return Z
@@ -123,7 +125,7 @@ def _rate_from_scatter(scale: float, Z: np.ndarray, weights: np.ndarray | None) 
 
 def coding_rate(Z: np.ndarray, eps: float) -> float:
     """Whole-set coding rate at distortion ``eps``."""
-    Z = _check_finite(Z)
+    Z = _check_features(Z)
     if eps <= 0:
         raise DataError("eps must be positive")
     n, m = Z.shape
@@ -133,7 +135,7 @@ def coding_rate(Z: np.ndarray, eps: float) -> float:
 def coding_rate_partitioned(Z: np.ndarray, Pi: Membership, eps: float) -> float:
     """Membership-weighted sum of per-class coding rates. Empty classes
     contribute zero."""
-    Z = _check_finite(Z)
+    Z = _check_features(Z)
     if eps <= 0:
         raise DataError("eps must be positive")
     n, m = Z.shape
@@ -168,7 +170,7 @@ def _spd_inverse(A: np.ndarray) -> np.ndarray:
 
 def expansion_operator(Z: np.ndarray, params: RateParams) -> np.ndarray:
     """alpha * (I + alpha Z Z^T)^-1: symmetric PD, eigenvalues in (0, alpha]."""
-    Z = _check_finite(Z)
+    Z = _check_features(Z)
     n = Z.shape[0]
     a = params.alpha
     E = a * _spd_inverse(np.eye(n) + a * (Z @ Z.T))
@@ -179,7 +181,7 @@ def compression_operator(
     Z: np.ndarray, Pi: Membership, j: int, params: RateParams
 ) -> np.ndarray:
     """alpha_j * (I + alpha_j Z Pi_j Z^T)^-1 for a nonempty class j."""
-    Z = _check_finite(Z)
+    Z = _check_features(Z)
     if Pi.class_sizes[j] <= 0:
         raise EmptyClassError(f"class {j} has zero total membership")
     n = Z.shape[0]
@@ -191,7 +193,7 @@ def compression_operator(
 def rate_gradient(Z: np.ndarray, Pi: Membership, params: RateParams) -> np.ndarray:
     """Exact gradient of the rate reduction with respect to Z:
     E Z - sum_j gamma_j C_j Z Pi_j."""
-    Z = _check_finite(Z)
+    Z = _check_features(Z)
     grad = expansion_operator(Z, params) @ Z
     for j in range(Pi.k):
         if Pi.class_sizes[j] <= 0:

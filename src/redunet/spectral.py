@@ -90,7 +90,9 @@ def circular_convolve_2d(kernel: np.ndarray, image: np.ndarray) -> np.ndarray:
 
 
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """sign(v) * max(|v| - tau, 0), applied entrywise."""
+    """sign(v) * max(|v| - tau, 0), applied entrywise, for tau >= 0."""
+    if not tau >= 0:
+        raise DataError(f"threshold must be nonnegative, got {tau}")
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
@@ -280,18 +282,10 @@ def forward_inv2d(model: InvariantModel, Zbar: np.ndarray) -> np.ndarray:
 
 def save_invariant_model(path, model: InvariantModel) -> None:
     """RNS1 container; complex entries stored as interleaved re/im float64."""
-    with open(path, "wb") as fh:
-        fh.write(INV_MAGIC)
-        fh.write(struct.pack("<I", INV_VERSION))
-        fh.write(struct.pack("<B", _KIND_CODES[model.kind]))
-        fh.write(struct.pack("<I", model.channels))
-        fh.write(struct.pack(f"<{len(model.dims)}I", *model.dims))
-        fh.write(struct.pack("<II", model.k, model.depth))
-        fh.write(struct.pack("<ddd", model.eta, model.lam, model.eps))
-        fh.write(np.ascontiguousarray(model.layers[0].gamma_j, dtype="<f8").tobytes())
-        for layer in model.layers:
-            fh.write(np.ascontiguousarray(layer.E_hat, dtype="<c16").tobytes())
-            fh.write(np.ascontiguousarray(layer.C_hat, dtype="<c16").tobytes())
+    header = INV_MAGIC + struct.pack(
+        f"<IBI{len(model.dims)}I2I3d", INV_VERSION, _KIND_CODES[model.kind], model.channels,
+        *model.dims, model.k, model.depth, model.eta, model.lam, model.eps)
+    _engine.write_layers(path, header, model.layers, "<c16")
 
 
 def load_invariant_model(path) -> InvariantModel:
@@ -302,19 +296,11 @@ def load_invariant_model(path) -> InvariantModel:
     kind = _KIND_NAMES[kind_code]
     (channels,) = r.unpack("<I")
     dims = r.unpack(f"<{len(_KIND_AXES[kind])}I")
-    k, L = r.unpack("<II")
-    eta, lam, eps = r.unpack("<ddd")
-    gamma = r.array("<f8", (k,))
-    P = math.prod(dims)
-    r.require(L * (1 + k) * P * channels * channels * 16)
-    layers = []
-    for _ in range(L):
-        E_hat = r.array("<c16", (P, channels, channels))
-        C_hat = r.array("<c16", (k, P, channels, channels))
-        layers.append(SpectralLayer(E_hat=E_hat, C_hat=C_hat, gamma_j=gamma))
+    k, L, eta, lam, eps = r.unpack("<2I3d")
+    layers = _engine.read_layers(r, "<c16", L, k, math.prod(dims), channels, SpectralLayer)
     return InvariantModel(
         kind=kind,
-        layers=tuple(layers),
+        layers=layers,
         eta=eta,
         lam=lam,
         eps=eps,

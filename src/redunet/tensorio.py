@@ -1,5 +1,5 @@
 """Dense tensor container, the RTF1 on-disk format, IDX ingestion, and the
-bounds-checked reader behind the RNM1/RNS1 model loaders.
+one bounds-checked reader behind every loader (RTF1, IDX, RNM1 and RNS1).
 
 RTF1 layout (little-endian throughout):
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    FormatError,
     ShapeError,
     TruncatedFileError,
     UnknownDtypeError,
@@ -55,14 +56,14 @@ class Tensor:
             raise ShapeError(f"tensor rank must be 1..4, got {len(self.shape)}")
         if self.dtype not in _NUMPY_DTYPES:
             raise UnknownDtypeError(f"unknown dtype code {self.dtype}")
+        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         flat = np.ascontiguousarray(self.data, dtype=_NUMPY_DTYPES[self.dtype]).reshape(-1)
-        expected = int(np.prod(self.shape))
+        expected = math.prod(self.shape)
         if flat.size != expected:
             raise ShapeError(
                 f"shape {self.shape} implies {expected} elements, data has {flat.size}"
             )
         object.__setattr__(self, "data", flat)
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Tensor":
@@ -87,49 +88,33 @@ def write_tensor(path, t: Tensor) -> None:
     """Serialize ``t`` to ``path`` in the RTF1 format."""
     header = MAGIC + struct.pack("<BB", t.dtype, len(t.shape))
     header += struct.pack(f"<{len(t.shape)}Q", *t.shape)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(t.data.tobytes())
-    except OSError as exc:
-        raise OSError(f"failed writing tensor to {path}: {exc}") from exc
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(t.data.tobytes())
 
 
 def read_tensor(path) -> Tensor:
     """Read an RTF1 file; exact inverse of :func:`write_tensor`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MAGIC!r}, got {blob[:4]!r}")
-    if len(blob) < 6:
-        raise TruncatedFileError(f"{path}: header truncated")
-    dtype, ndim = struct.unpack_from("<BB", blob, 4)
+    r = ContainerReader(path, MAGIC)
+    dtype, ndim = r.unpack("<BB")
     if dtype not in _NUMPY_DTYPES:
         raise UnknownDtypeError(f"{path}: unknown dtype code {dtype}")
     if not 1 <= ndim <= 4:
         raise ShapeError(f"{path}: rank {ndim} outside 1..4")
-    offset = 6 + 8 * ndim
-    if len(blob) < offset:
-        raise TruncatedFileError(f"{path}: shape header truncated")
-    shape = struct.unpack_from(f"<{ndim}Q", blob, 6)
-    np_dtype = _NUMPY_DTYPES[dtype]
-    nbytes = int(np.prod(shape)) * np_dtype.itemsize
-    payload = blob[offset:]
-    if len(payload) < nbytes:
-        raise TruncatedFileError(
-            f"{path}: payload has {len(payload)} bytes, header declares {nbytes}"
-        )
-    data = np.frombuffer(payload[:nbytes], dtype=np_dtype).copy()
-    return Tensor(shape=tuple(int(s) for s in shape), data=data, dtype=dtype)
+    shape = r.unpack(f"<{ndim}Q")
+    data = r.array(_NUMPY_DTYPES[dtype], shape)
+    r.end()
+    return Tensor(shape=shape, data=data, dtype=dtype)
 
 
 class ContainerReader:
-    """Reads a model container front to back: magic and version on opening,
-    then header fields and arrays. Every read is checked against the file
-    length, so a short file raises TruncatedFileError, never a bare struct or
-    numpy error."""
+    """Reads a binary file front to back: the magic (if given) and the u32
+    version (if given) on opening, then header fields and arrays. Every read
+    is checked against the file length, so a short file raises
+    TruncatedFileError, never a bare struct or numpy error, and :meth:`end`
+    rejects bytes after the declared content."""
 
-    def __init__(self, path, magic: bytes, version: int) -> None:
+    def __init__(self, path, magic: bytes = b"", version: int | None = None) -> None:
         with open(path, "rb") as fh:
             self.blob = fh.read()
         self.path = path
@@ -137,9 +122,10 @@ class ContainerReader:
         if not magic.startswith(self.blob[: len(magic)]):
             raise BadMagicError(f"{path}: expected magic {magic!r}")
         self._advance(len(magic))
-        (found,) = self.unpack("<I")
-        if found != version:
-            raise VersionError(f"{path}: unsupported model version {found}")
+        if version is not None:
+            (found,) = self.unpack("<I")
+            if found != version:
+                raise VersionError(f"{path}: unsupported version {found}")
 
     def require(self, nbytes: int) -> None:
         """Fail unless ``nbytes`` more bytes follow the current offset."""
@@ -158,12 +144,20 @@ class ContainerReader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
 
-    def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    def array(self, dtype, shape: tuple[int, ...]) -> np.ndarray:
         """A fresh copy of the next prod(shape) elements."""
         dt = np.dtype(dtype)
         count = math.prod(shape)
         start = self._advance(count * dt.itemsize)
-        return np.frombuffer(self.blob, dtype=dt, count=count, offset=start).reshape(shape).copy()
+        try:  # an empty array may still declare extents numpy cannot index
+            return np.frombuffer(self.blob, dt, count, start).reshape(shape).copy()
+        except ValueError as exc:
+            raise ShapeError(f"{self.path}: unsupported shape {shape}") from exc
+
+    def end(self) -> None:
+        """Fail unless the whole file has been read."""
+        if self.offset != len(self.blob):
+            raise FormatError(f"{self.path}: {len(self.blob) - self.offset} trailing bytes")
 
 
 def read_idx(path) -> Tensor:
@@ -171,31 +165,18 @@ def read_idx(path) -> Tensor:
 
     Image files (magic 0x803) become an m x H x W real64 tensor with raw
     bytes scaled to [0, 1] by dividing by 255. Label files (magic 0x801)
-    become an m-length uint32 tensor.
+    become an m-length uint32 tensor; a short payload raises ShapeError.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4:
-        raise TruncatedFileError(f"{path}: missing IDX magic")
-    (magic,) = struct.unpack_from(">I", blob, 0)
-    if magic == IDX_MAGIC_LABELS:
-        ndim = 1
-    elif magic == IDX_MAGIC_IMAGES:
-        ndim = 3
-    else:
+    r = ContainerReader(path)
+    (magic,) = r.unpack(">I")
+    if magic not in (IDX_MAGIC_LABELS, IDX_MAGIC_IMAGES):
         raise UnknownDtypeError(f"{path}: unsupported IDX magic 0x{magic:08x}")
-    offset = 4 + 4 * ndim
-    if len(blob) < offset:
-        raise TruncatedFileError(f"{path}: IDX dimension header truncated")
-    dims = struct.unpack_from(f">{ndim}I", blob, 4)
-    count = int(np.prod(dims))
-    payload = blob[offset:]
-    if len(payload) < count:
-        raise ShapeError(
-            f"{path}: IDX declares {count} bytes of data, found {len(payload)}"
-        )
-    raw = np.frombuffer(payload[:count], dtype=np.uint8)
+    dims = r.unpack(">I" if magic == IDX_MAGIC_LABELS else ">3I")
+    try:
+        raw = r.array(np.uint8, dims)
+    except TruncatedFileError as exc:
+        raise ShapeError(f"{path}: IDX payload is shorter than its dimensions") from exc
+    r.end()
     if magic == IDX_MAGIC_LABELS:
-        return Tensor(shape=(dims[0],), data=raw.astype("<u4"), dtype=DTYPE_UINT32)
-    images = raw.astype("<f8") / 255.0
-    return Tensor(shape=tuple(int(d) for d in dims), data=images, dtype=DTYPE_REAL64)
+        return Tensor(shape=dims, data=raw.astype("<u4"), dtype=DTYPE_UINT32)
+    return Tensor(shape=dims, data=raw.astype("<f8") / 255.0, dtype=DTYPE_REAL64)

@@ -239,3 +239,50 @@ def test_forward_inv1d_on_a_truncated_model_exits_3(tmp_path):
                    "--out", tmp_path / "out.rtf")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("features", [np.ones(4), np.ones((3, 0))])
+def test_rate_on_features_that_are_not_an_n_by_m_matrix_exits_3(tmp_path, features):
+    feats = tmp_path / "feats.rtf"
+    write_tensor(feats, Tensor.from_array(features))
+    labels = tmp_path / "labels.rtf"
+    write_tensor(labels, Tensor.from_array(np.zeros(4, dtype=np.uint32)))
+    assert main(["rate", "--features", str(feats), "--labels", str(labels),
+                 "--eps", "0.5"]) == 3
+
+
+def test_real_valued_labels_exit_3(tmp_path, capsys):
+    feats, _ = _gen(tmp_path)
+    labels = tmp_path / "real_labels.rtf"
+    write_tensor(labels, Tensor.from_array(np.tile([0.7, 1.2, 0.2, 1.9], 30)))
+    assert main(["rate", "--features", str(feats), "--labels", str(labels),
+                 "--eps", "0.5"]) == 3
+    assert "whole numbers" in capsys.readouterr().err
+
+
+def test_whole_number_float_labels_are_accepted(tmp_path, capsys):
+    feats, labels = _gen(tmp_path)
+    as_float = tmp_path / "float_labels.rtf"
+    write_tensor(as_float, Tensor.from_array(read_tensor(labels).to_array().astype(float)))
+    for lab in (labels, as_float):
+        assert main(["rate", "--features", str(feats), "--labels", str(lab),
+                     "--eps", "0.5"]) == 0
+    first, second = capsys.readouterr().out.strip().splitlines()
+    assert first == second
+
+
+def test_lift1d_with_negative_tau_exits_3(tmp_path):
+    signals = tmp_path / "signals.rtf"
+    write_tensor(signals, Tensor.from_array(np.ones((2, 8))))
+    assert main(["lift1d", "--features", str(signals), "--channels", "2",
+                 "--kernel-size", "3", "--seed", "0", "--tau", "-1",
+                 "--out", str(tmp_path / "out.rtf")]) == 3
+
+
+def test_output_into_a_missing_directory_exits_3(tmp_path):
+    assert main([
+        "gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", "5",
+        "--sigma", "0.1", "--seed", "1",
+        "--out-features", str(tmp_path / "nope" / "f.rtf"),
+        "--out-labels", str(tmp_path / "nope" / "l.rtf"),
+    ]) == 3

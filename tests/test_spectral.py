@@ -104,6 +104,15 @@ def test_soft_threshold():
     np.testing.assert_array_equal(soft_threshold(v, 0.0), v)
 
 
+def test_negative_threshold_is_rejected():
+    with pytest.raises(DataError):
+        soft_threshold(np.ones(3), -1.0)
+    with pytest.raises(DataError):
+        lift_random_filters_1d(np.ones((2, 8)), C=2, K=3, seed=0, tau=-1.0)
+    with pytest.raises(DataError):
+        lift_random_filters_2d(np.ones((2, 4, 4)), C=2, K=3, seed=0, tau=-1.0)
+
+
 def test_spectral_rate_matches_circulant_family_rate():
     Z, labels, Pi = _samples_1d()
     T = Z.shape[2]
