@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .rate import Membership
+from .rate import Membership, check_eps
 
 UNIT_NORM_TOL = 1e-9
 
@@ -72,6 +72,13 @@ class LossCurve(Sequence):
         return list(self) == list(other)
 
 
+def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
+    """The step rule every layer obeys: a finite step size eta > 0 and a
+    finite softmin temperature lam >= 0."""
+    if not (0 < eta < np.inf and 0 <= lam < np.inf):
+        raise DataError(f"need 0 < eta < inf and 0 <= lambda < inf, got {eta} and {lam}")
+
+
 def factor(V: np.ndarray, Pi: Membership, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients a_j (a_0 for the whole set) and the Cholesky factors
     of the (1 + k, P, d, d) stack. Empty classes get a_j = 0, so their block
@@ -79,8 +86,7 @@ def factor(V: np.ndarray, Pi: Membership, eps: float) -> tuple[np.ndarray, np.nd
     P, d, m = V.shape
     if Pi.m != m:
         raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
-    if eps <= 0:
-        raise DataError("eps must be positive")
+    check_eps(eps)
     sizes = np.concatenate(([m], Pi.class_sizes))
     with np.errstate(divide="ignore"):
         coef = np.where(sizes > 0, d / (sizes * eps**2), 0.0)
@@ -136,11 +142,12 @@ def increment(V: np.ndarray, E: np.ndarray, C: np.ndarray, gamma: np.ndarray,
 
 
 def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
-    """One layer: V + eta * increment, renormalized to unit sample norm."""
+    """One layer: V + eta * increment, renormalized to unit sample norm. A zero
+    or non-finite norm raises NumericError, so callers silence numpy's warnings."""
     V = V + eta * increment(V, *layer.blocks, layer.gamma_j, lam)
     norms = np.sqrt(_sq_norms(V, "pax,pax->x"))
-    if np.any(norms == 0):
-        raise NumericError("a sample collapsed to zero during the update")
+    if not np.all((norms > 0) & (norms < np.inf)):
+        raise NumericError("a sample collapsed to zero or became non-finite during the update")
     return V / norms
 
 
@@ -152,26 +159,29 @@ def construct(V: np.ndarray, Pi: Membership, L: int, eta: float, eps: float,
     entry of each layer describes its input."""
     if L < 1:
         raise DataError("at least one layer is required")
+    check_step(eta, lam)
     norms = np.sqrt(_sq_norms(V, "pax,pax->x"))
     if not np.all(np.isfinite(norms)):
         raise NumericError("features contain non-finite entries")
-    if np.max(np.abs(norms - 1.0), initial=0.0) > UNIT_NORM_TOL:
+    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
         raise DataError("every sample must have unit norm")
-    if np.any(Pi.class_sizes <= 0):
+    if not np.all(Pi.class_sizes > 0):
         raise DataError("every class must have nonzero total membership")
     gamma = Pi.class_sizes / Pi.m
     layers, curve = [], np.empty((L, 3))
-    for i in range(L):
-        coef, Lf = factor(V, Pi, eps)
-        curve[i] = rates(Lf, gamma)
-        layers.append(make_layer(*operators(coef, Lf), gamma))
-        V = step(V, layers[-1], eta, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(L):
+            coef, Lf = factor(V, Pi, eps)
+            curve[i] = rates(Lf, gamma)
+            layers.append(make_layer(*operators(coef, Lf), gamma))
+            V = step(V, layers[-1], eta, lam)
     return layers, V, LossCurve(curve)
 
 
 def forward(V: np.ndarray, layers, eta: float, lam: float) -> np.ndarray:
-    for layer in layers:
-        V = step(V, layer, eta, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in layers:
+            V = step(V, layer, eta, lam)
     return V
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyClassError, ShapeError
-from .rate import Membership
+from .rate import Membership, _check_features, check_labels
 
 RANK_TOL = 1e-10
 
@@ -40,38 +40,32 @@ def fit_nsc(Z: np.ndarray, labels: np.ndarray, r: int = 30) -> SubspaceClassifie
     class block, never more than its numerical rank (singular values below
     1e-10 of the largest are treated as zero).
     """
-    Z = np.asarray(Z, dtype=float)
-    labels = np.asarray(labels, dtype=int).ravel()
-    if Z.ndim != 2:
-        raise ShapeError("expected an n x m feature matrix")
+    Z = _check_features(Z)
+    labels = check_labels(labels)
     if Z.shape[1] != labels.size:
         raise ShapeError(f"{Z.shape[1]} feature columns but {labels.size} labels")
     if r < 0:
         raise DataError("subspace dimension must be nonnegative")
-    k = int(labels.max()) + 1 if labels.size else 0
-    n = Z.shape[0]
-    means = np.zeros((k, n))
-    bases = []
-    for j in range(k):
-        block = Z[:, labels == j]
+    means, bases, fitted = [], [], 0
+    while fitted < labels.size:  # classes 0, 1, ... until every sample is used
+        block = Z[:, labels == len(means)]
         if block.shape[1] == 0:
-            raise EmptyClassError(f"class {j} has no training samples")
+            raise EmptyClassError(f"class {len(means)} has no training samples")
+        fitted += block.shape[1]
         mu = block.mean(axis=1)
-        means[j] = mu
+        means.append(mu)
         U, s, _ = np.linalg.svd(block - mu[:, None], full_matrices=False)
         rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
         bases.append(np.ascontiguousarray(U[:, : min(r, rank)]))
-    return SubspaceClassifier(means=means, bases=tuple(bases))
+    return SubspaceClassifier(means=np.array(means), bases=tuple(bases))
 
 
 def predict_nsc(clf: SubspaceClassifier, Z: np.ndarray) -> np.ndarray:
     """Assign each column of Z to the class with the smallest residual
     after projecting the centered query onto that class's subspace. Ties go
     to the smallest class index."""
-    Z = np.asarray(Z, dtype=float)
-    single = Z.ndim == 1
-    if single:
-        Z = Z.reshape(-1, 1)
+    single = np.ndim(Z) == 1
+    Z = _check_features(np.reshape(Z, (-1, 1)) if single else Z)
     if Z.shape[0] != clf.n:
         raise ShapeError(f"expected {clf.n} rows, got {Z.shape[0]}")
     residuals = np.empty((clf.k, Z.shape[1]))
@@ -95,9 +89,9 @@ def accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
 
 def cosine_similarity_matrix(Z: np.ndarray) -> np.ndarray:
     """m x m matrix of cosine similarities between feature columns."""
-    Z = np.asarray(Z, dtype=float)
+    Z = _check_features(Z)
     norms = np.linalg.norm(Z, axis=0)
-    if np.any(norms == 0):
+    if not np.all(norms > 0):
         raise DataError("cosine similarity is undefined for zero columns")
     U = Z / norms
     S = U.T @ U

@@ -31,8 +31,8 @@ from .datagen import (
     polar_resample,
 )
 from .dense import construct, forward, load_model, save_model
-from .errors import DataError, NumericError, ShapeError
-from .rate import Membership, rate_reduction
+from .errors import DataError, NumericError
+from .rate import Membership, _check_features, check_labels, rate_reduction
 from .spectral import (
     construct_inv1d,
     construct_inv2d,
@@ -69,14 +69,13 @@ def _write_manifest(args: argparse.Namespace, first_output: str) -> None:
 
 
 def _resolve_eps(args: argparse.Namespace) -> float:
-    if getattr(args, "eps_sq", None) is not None:
-        if args.eps_sq <= 0:
+    """--eps, or the root of --eps-sq; the library checks the result."""
+    if args.eps_sq is not None:
+        if not args.eps_sq > 0:
             raise DataError("--eps-sq must be positive")
         return float(np.sqrt(args.eps_sq))
-    if getattr(args, "eps", None) is not None:
-        if args.eps <= 0:
-            raise DataError("--eps must be positive")
-        return float(args.eps)
+    if args.eps is not None:
+        return args.eps
     raise DataError("one of --eps or --eps-sq is required")
 
 
@@ -85,10 +84,7 @@ def _load_features(path: str) -> np.ndarray:
 
 
 def _load_labels(path: str) -> np.ndarray:
-    labels = read_tensor(path).to_array().ravel()
-    if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
-        raise DataError(f"{path}: labels must be whole numbers")
-    return labels.astype(int)
+    return check_labels(read_tensor(path).to_array())
 
 
 def _write_csv(path: str | None, rows, header=None) -> None:
@@ -108,10 +104,10 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its first output path (None if it writes none)
 
 
-def _cmd_gen_gaussians(args) -> int:
+def _cmd_gen_gaussians(args) -> str:
     if args.per_class < 1:
         raise SystemExit(EXIT_USAGE)
     spec = GaussianMixtureSpec(
@@ -122,19 +118,17 @@ def _cmd_gen_gaussians(args) -> int:
     labels = np.argmax(Pi.weights, axis=0).astype("<u4")
     write_tensor(args.out_features, Tensor.from_array(Z))
     write_tensor(args.out_labels, Tensor.from_array(labels))
-    _write_manifest(args, args.out_features)
-    return EXIT_OK
+    return args.out_features
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args) -> None:
     Z = _load_features(args.features)
     Pi = Membership.from_labels(_load_labels(args.labels))
     R, Rc, dR = rate_reduction(Z, Pi, _resolve_eps(args))
     print(f"{_fmt(R)},{_fmt(Rc)},{_fmt(dR)}")
-    return EXIT_OK
 
 
-def _cmd_construct(args, builder, saver, normalize: bool) -> int:
+def _cmd_construct(args, builder, saver, normalize: bool) -> str:
     """construct / construct-inv*: invariant inputs are first scaled to unit
     sample norm."""
     Z = _load_features(args.features)
@@ -153,51 +147,46 @@ def _cmd_construct(args, builder, saver, normalize: bool) -> int:
             [[i, _fmt(R), _fmt(Rc), _fmt(dR)] for i, (R, Rc, dR) in enumerate(curve)],
             header=["layer", "R", "Rc", "dR"],
         )
-    _write_manifest(args, args.model_out)
-    return EXIT_OK
+    return args.model_out
 
 
-def _cmd_forward(args, runner, loader, normalize: bool) -> int:
+def _cmd_forward(args, runner, loader, normalize: bool) -> str:
     """forward / forward-inv*: the same input scaling as construction."""
     model = loader(args.model)
     Z = _load_features(args.features)
     if normalize:
         Z = normalize_samples_time(Z)
     write_tensor(args.out, Tensor.from_array(runner(model, Z)))
-    _write_manifest(args, args.out)
-    return EXIT_OK
+    return args.out
 
 
-def _cmd_lift1d(args) -> int:
+def _cmd_lift1d(args) -> str:
     X = _load_features(args.features)
     out = lift_random_filters_1d(X, C=args.channels, K=args.kernel_size,
                                  seed=args.seed, tau=args.tau)
     write_tensor(args.out, Tensor.from_array(out))
-    _write_manifest(args, args.out)
-    return EXIT_OK
+    return args.out
 
 
-def _cmd_polar(args) -> int:
+def _cmd_polar(args) -> str:
     images = _load_features(args.images)
     if images.ndim == 2:
         images = images[None]
     out = np.stack([polar_resample(img, args.gamma, args.radii) for img in images])
     write_tensor(args.out, Tensor.from_array(out))
-    _write_manifest(args, args.out)
-    return EXIT_OK
+    return args.out
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args) -> str:
     X = _load_features(args.features)
     labels = _load_labels(args.labels)
     out, out_labels = augment_shifts(X, labels, stride=args.stride, kind=args.kind)
     write_tensor(args.out_features, Tensor.from_array(out))
     write_tensor(args.out_labels, Tensor.from_array(out_labels.astype("<u4")))
-    _write_manifest(args, args.out_features)
-    return EXIT_OK
+    return args.out_features
 
 
-def _cmd_nsc_fit(args) -> int:
+def _cmd_nsc_fit(args) -> str:
     Z = _load_features(args.features)
     labels = _load_labels(args.labels)
     clf = fit_nsc(Z, labels, r=args.r)
@@ -210,24 +199,22 @@ def _cmd_nsc_fit(args) -> int:
     (bundle / "manifest.txt").write_text(
         f"classes={clf.k}\nr={args.r}\nbasis_dims={dims}\n"
     )
-    _write_manifest(args, bundle / "manifest.txt")
-    return EXIT_OK
+    return str(bundle / "manifest.txt")
 
 
 def _load_nsc_bundle(path: str) -> SubspaceClassifier:
     """means.rtf (k, n), then basis_j.rtf (n, r_j) for each class; the
     bundle's manifest.txt is informational and not read."""
     bundle = Path(path)
-    means = read_tensor(bundle / "means.rtf").to_array()
-    if means.ndim != 2:
-        raise ShapeError(f"{path}: means must be a (k, n) matrix, got shape {means.shape}")
+    means = _check_features(read_tensor(bundle / "means.rtf").to_array())
     bases = tuple(read_tensor(bundle / f"basis_{j}.rtf").to_array() for j in range(len(means)))
-    if any(U.ndim != 2 or U.shape[0] != means.shape[1] for U in bases):
-        raise ShapeError(f"{path}: every basis must have {means.shape[1]} rows")
+    if any(U.ndim != 2 or U.shape[0] != means.shape[1] or not np.all(np.isfinite(U))
+           for U in bases):
+        raise DataError(f"{path}: every basis must be a finite matrix with {means.shape[1]} rows")
     return SubspaceClassifier(means=means, bases=bases)
 
 
-def _cmd_nsc_predict(args) -> int:
+def _cmd_nsc_predict(args) -> str:
     clf = _load_nsc_bundle(args.bundle)
     Z = _load_features(args.features)
     pred = predict_nsc(clf, Z)
@@ -235,23 +222,19 @@ def _cmd_nsc_predict(args) -> int:
     if args.labels:
         acc = accuracy(pred, _load_labels(args.labels))
         print(f"accuracy,{_fmt(acc)}")
-    _write_manifest(args, args.out)
-    return EXIT_OK
+    return args.out
 
 
-def _cmd_cossim(args) -> int:
+def _cmd_cossim(args) -> str | None:
     S = cosine_similarity_matrix(_load_features(args.features))
     _write_csv(args.out, [[_fmt(x) for x in row] for row in S])
-    if args.out:
-        _write_manifest(args, args.out)
-    return EXIT_OK
+    return args.out
 
 
-def _cmd_mnist_import(args) -> int:
+def _cmd_mnist_import(args) -> str:
     write_tensor(args.out_images, read_idx(args.images))
     write_tensor(args.out_labels, read_idx(args.labels))
-    _write_manifest(args, args.out_images)
-    return EXIT_OK
+    return args.out_images
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +369,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
+        first_output = args.func(args)
+        if first_output is not None:
+            _write_manifest(args, first_output)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

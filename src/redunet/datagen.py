@@ -7,12 +7,15 @@ come paired with hard label memberships.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ShapeError
 from .rate import Membership
+
+_SHIFT_AXES = {"1d": (-1,), "2d": (-2, -1)}
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,8 @@ def _unit_rows(M: np.ndarray) -> np.ndarray:
 def gen_gaussian_sphere(spec: GaussianMixtureSpec) -> tuple[np.ndarray, Membership]:
     """Mixture of k isotropic Gaussians with unit-norm means, every sample
     projected back onto the unit sphere. Returns (n x k*m features, labels)."""
-    if spec.sigma <= 0:
-        raise DataError("sigma must be positive")
+    if not 0 < spec.sigma < np.inf:
+        raise DataError(f"sigma must be positive and finite, got {spec.sigma}")
     if spec.m_per_class < 1 or spec.k < 1 or spec.n < 1:
         raise DataError("dimensions and counts must be positive")
     rng = np.random.default_rng(spec.seed)
@@ -53,7 +56,7 @@ def gen_gaussian_sphere(spec: GaussianMixtureSpec) -> tuple[np.ndarray, Membersh
         means = np.asarray(spec.means, dtype=float)
         if means.shape != (spec.k, spec.n):
             raise ShapeError(f"means must be ({spec.k}, {spec.n}), got {means.shape}")
-        if np.max(np.abs(np.linalg.norm(means, axis=1) - 1.0)) > 1e-9:
+        if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):
             raise DataError("mixture means must be unit vectors")
     cols = []
     labels = []
@@ -161,18 +164,14 @@ def augment_shifts(
     labels = np.asarray(labels).ravel()
     if stride <= 0:
         raise DataError("stride must be positive")
+    if kind not in _SHIFT_AXES:
+        raise DataError(f"unknown augmentation kind {kind!r}")
+    axes = _SHIFT_AXES[kind]
+    if X.ndim <= len(axes):
+        raise ShapeError(f"{kind} augmentation needs a sample axis and {len(axes)} signal axes")
     if X.shape[0] != labels.size:
         raise ShapeError(f"{X.shape[0]} samples but {labels.size} labels")
-    if kind == "1d":
-        T = X.shape[-1]
-        shifts = [(s,) for s in range(0, T, stride)]
-        axes = (-1,)
-    elif kind == "2d":
-        H, W = X.shape[-2], X.shape[-1]
-        shifts = [(p, q) for p in range(0, H, stride) for q in range(0, W, stride)]
-        axes = (-2, -1)
-    else:
-        raise DataError(f"unknown augmentation kind {kind!r}")
+    shifts = list(itertools.product(*(range(0, X.shape[a], stride) for a in axes)))
     out = np.concatenate(
         [np.stack([np.roll(x, s, axis=axes) for s in shifts]) for x in X]
     )

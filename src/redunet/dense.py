@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .errors import DataError, NumericError, ShapeError
-from .rate import Membership
+from .errors import NumericError, ShapeError
+from .rate import Membership, _check_features
 from .tensorio import ContainerReader
 
 MODEL_MAGIC = b"RNM1"
@@ -58,15 +58,14 @@ class ReduNetModel:
 def sphere_project(z: np.ndarray) -> np.ndarray:
     """Scale to unit Euclidean norm; zero vectors are rejected."""
     norm = np.linalg.norm(z)
-    if norm == 0:
-        raise NumericError("cannot project the zero vector onto the sphere")
+    if not 0 < norm < np.inf:
+        raise NumericError("cannot project a zero or non-finite vector onto the sphere")
     return z / norm
 
 
 def estimate_membership(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """Softmin over lam * ||C_j z||: entries in [0,1], summing to one."""
-    if lam < 0:
-        raise DataError("lambda must be nonnegative")
+    _engine.check_step(lam=lam)
     _, C = layer.blocks
     return _engine.membership(C @ np.reshape(z, (1, -1, 1)), lam).ravel()
 
@@ -94,9 +93,7 @@ def construct(
     Returns the model, the final features, and the per-layer loss curve
     (R, Rc, dR) recorded before each update, so entry 0 describes the input.
     """
-    Z = np.asarray(Z1, dtype=float)
-    if Z.ndim != 2:
-        raise ShapeError(f"expected an (n, m) feature matrix, got shape {Z.shape}")
+    Z = _check_features(Z1)
     layers, V, curve = _engine.construct(Z[None], Pi, L, eta, eps, lam, _dense_layer)
     model = ReduNetModel(
         layers=tuple(layers), eta=eta, lam=lam, eps=eps, n=Z.shape[0], k=Pi.k
@@ -106,12 +103,12 @@ def construct(
 
 def forward(model: ReduNetModel, X: np.ndarray) -> np.ndarray:
     """Apply the stored layers to new unit-norm feature columns."""
-    Z = np.asarray(X, dtype=float)
-    if Z.ndim == 1:
-        return forward(model, Z.reshape(-1, 1)).ravel()
+    single = np.ndim(X) == 1
+    Z = _check_features(np.reshape(X, (-1, 1)) if single else X)
     if Z.shape[0] != model.n:
         raise ShapeError(f"expected {model.n} rows, got {Z.shape[0]}")
-    return _engine.forward(Z[None], model.layers, model.eta, model.lam)[0]
+    out = _engine.forward(Z[None], model.layers, model.eta, model.lam)[0]
+    return out.ravel() if single else out
 
 
 def save_model(path, model: ReduNetModel) -> None:
@@ -124,5 +121,6 @@ def save_model(path, model: ReduNetModel) -> None:
 def load_model(path) -> ReduNetModel:
     r = ContainerReader(path, MODEL_MAGIC, MODEL_VERSION)
     L, n, k, eta, lam, eps = r.unpack("<3I3d")
+    _engine.check_step(eta, lam)
     layers = _engine.read_layers(r, "<f8", L, k, 1, n, _dense_layer)
     return ReduNetModel(layers=layers, eta=eta, lam=lam, eps=eps, n=n, k=k)

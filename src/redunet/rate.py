@@ -16,6 +16,21 @@ import numpy as np
 from .errors import DataError, EmptyClassError, NumericError, ShapeError
 
 COLUMN_SUM_TOL = 1e-9
+LABEL_LIMIT = 2**32  # label files store uint32
+
+
+def check_labels(labels) -> np.ndarray:
+    """Class labels as a flat int array: finite, nonnegative whole numbers
+    below LABEL_LIMIT."""
+    y = np.asarray(labels, dtype=float).ravel()
+    if not np.all((y >= 0) & (y < LABEL_LIMIT) & (y == np.floor(y))):
+        raise DataError(f"labels must be whole numbers in 0..{LABEL_LIMIT - 1}")
+    return y.astype(int)
+
+
+def check_eps(eps: float) -> None:
+    if not 0 < eps < np.inf:
+        raise DataError(f"eps must be positive and finite, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -27,22 +42,23 @@ class Membership:
 
     def __post_init__(self) -> None:
         w = np.atleast_2d(np.asarray(self.weights, dtype=float))
-        if w.min(initial=0.0) < -COLUMN_SUM_TOL or w.max(initial=0.0) > 1 + COLUMN_SUM_TOL:
+        if not np.all((w >= -COLUMN_SUM_TOL) & (w <= 1 + COLUMN_SUM_TOL)):
             raise DataError("membership weights must lie in [0, 1]")
-        col_sums = w.sum(axis=0)
-        if np.max(np.abs(col_sums - 1.0)) > COLUMN_SUM_TOL:
+        deviation = np.abs(w.sum(axis=0) - 1.0)
+        if not np.all(deviation <= COLUMN_SUM_TOL):
             raise DataError(
-                f"membership columns must sum to 1 (max deviation "
-                f"{np.max(np.abs(col_sums - 1.0)):.3e})"
+                f"membership columns must sum to 1 (max deviation {np.max(deviation):.3e})"
             )
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def from_labels(cls, labels, k: int | None = None) -> "Membership":
-        labels = np.asarray(labels, dtype=int).ravel()
+        labels = check_labels(labels)
         if k is None:
-            k = int(labels.max()) + 1 if labels.size else 0
-        if labels.size and (labels.min() < 0 or labels.max() >= k):
+            k = int(labels.max(initial=-1)) + 1
+            if k > labels.size:
+                raise DataError(f"labels name {k} classes for only {labels.size} samples")
+        elif labels.size and labels.max() >= k:
             raise DataError(f"labels must lie in 0..{k - 1}")
         w = np.zeros((k, labels.size))
         w[labels, np.arange(labels.size)] = 1.0
@@ -72,8 +88,7 @@ class RateParams:
 
     @classmethod
     def compute(cls, n: int, Pi: Membership, eps: float) -> "RateParams":
-        if eps <= 0:
-            raise DataError("eps must be positive")
+        check_eps(eps)
         m = Pi.m
         sizes = Pi.class_sizes
         with np.errstate(divide="ignore"):
@@ -126,8 +141,7 @@ def _rate_from_scatter(scale: float, Z: np.ndarray, weights: np.ndarray | None) 
 def coding_rate(Z: np.ndarray, eps: float) -> float:
     """Whole-set coding rate at distortion ``eps``."""
     Z = _check_features(Z)
-    if eps <= 0:
-        raise DataError("eps must be positive")
+    check_eps(eps)
     n, m = Z.shape
     return _rate_from_scatter(n / (m * eps**2), Z, None)
 
@@ -136,11 +150,10 @@ def coding_rate_partitioned(Z: np.ndarray, Pi: Membership, eps: float) -> float:
     """Membership-weighted sum of per-class coding rates. Empty classes
     contribute zero."""
     Z = _check_features(Z)
-    if eps <= 0:
-        raise DataError("eps must be positive")
+    check_eps(eps)
     n, m = Z.shape
     if Pi.m != m:
-        raise DataError(f"membership covers {Pi.m} samples, features have {m}")
+        raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
     total = 0.0
     sizes = Pi.class_sizes
     for j in range(Pi.k):

@@ -208,8 +208,8 @@ def normalize_samples_time(Zbar: np.ndarray) -> np.ndarray:
     """Scale every sample (first axis) to unit Frobenius norm."""
     Zbar = np.asarray(Zbar, dtype=float)
     norms = np.sqrt(np.sum(Zbar**2, axis=tuple(range(1, Zbar.ndim)), keepdims=True))
-    if np.any(norms == 0):
-        raise NumericError("cannot normalize a zero sample")
+    if not np.all((norms > 0) & (norms < np.inf)):
+        raise NumericError("cannot normalize a zero or non-finite sample")
     return Zbar / norms
 
 
@@ -297,6 +297,7 @@ def load_invariant_model(path) -> InvariantModel:
     (channels,) = r.unpack("<I")
     dims = r.unpack(f"<{len(_KIND_AXES[kind])}I")
     k, L, eta, lam, eps = r.unpack("<2I3d")
+    _engine.check_step(eta, lam)
     layers = _engine.read_layers(r, "<c16", L, k, math.prod(dims), channels, SpectralLayer)
     return InvariantModel(
         kind=kind,

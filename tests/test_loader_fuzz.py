@@ -1,6 +1,8 @@
 """Every loader either returns or raises a DataError subclass, whatever the
 bytes: truncations, single-byte flips and trailing bytes of valid RTF1, IDX,
-RNM1 and RNS1 files, and the CLI maps each of those to exit code 3."""
+RNM1 and RNS1 files, and the CLI maps each of those to exit code 3. A model
+that loads is a model that forwards: a bit-flipped RNM1/RNS1 either fails at
+load or forward with a DataError/NumericError, or gives finite output."""
 
 import struct
 
@@ -13,12 +15,16 @@ from redunet import (
     DataError,
     FormatError,
     Membership,
+    NumericError,
     ShapeError,
     Tensor,
     TruncatedFileError,
     construct,
     construct_inv1d,
     construct_inv2d,
+    forward,
+    forward_inv1d,
+    forward_inv2d,
     load_invariant_model,
     load_model,
     normalize_samples_time,
@@ -39,6 +45,17 @@ LOADERS = {
     "rns1-1d": load_invariant_model,
     "rns1-2d": load_invariant_model,
 }
+FORWARDS = {"rnm1": forward, "rns1-1d": forward_inv1d, "rns1-2d": forward_inv2d}
+
+
+def _training_input(name):
+    """The unit-norm batch each model file is built from."""
+    rng = np.random.default_rng(0)
+    if name == "rnm1":
+        Z = rng.standard_normal((2, 4))
+        return Z / np.linalg.norm(Z, axis=0)
+    shape = (4, 2, 3) if name == "rns1-1d" else (4, 1, 2, 2)
+    return normalize_samples_time(rng.standard_normal(shape))
 
 
 def _write_valid(name, path):
@@ -53,17 +70,13 @@ def _write_valid(name, path):
     elif name == "idx-images":
         path.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 3) + bytes(range(0, 240, 20)))
     elif name == "rnm1":
-        Z = rng.standard_normal((2, 4))
-        model, _, _ = construct(Z / np.linalg.norm(Z, axis=0), Membership.from_labels(labels),
+        model, _, _ = construct(_training_input(name), Membership.from_labels(labels),
                                 L=1, eta=0.5, eps=0.5)
         save_model(path, model)
-    elif name == "rns1-1d":
-        X = normalize_samples_time(rng.standard_normal((4, 2, 3)))
-        model, _, _ = construct_inv1d(X, Membership.from_labels(labels), L=1, eta=0.5, eps=0.5)
-        save_invariant_model(path, model)
     else:
-        X = normalize_samples_time(rng.standard_normal((4, 1, 2, 2)))
-        model, _, _ = construct_inv2d(X, Membership.from_labels(labels), L=1, eta=0.5, eps=0.5)
+        build = construct_inv1d if name == "rns1-1d" else construct_inv2d
+        model, _, _ = build(_training_input(name), Membership.from_labels(labels),
+                            L=1, eta=0.5, eps=0.5)
         save_invariant_model(path, model)
 
 
@@ -118,6 +131,45 @@ def test_single_byte_flips_return_or_raise_data_error(valid, name, data):
         LOADERS[name](path)
     except DataError:
         pass
+
+
+@pytest.mark.parametrize("name", FORWARDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_bit_flipped_model_that_loads_forwards_its_training_batch(valid, name, data):
+    blob, path = valid[name]
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+    i = bit // 8
+    path.write_bytes(blob[:i] + bytes([blob[i] ^ (1 << bit % 8)]) + blob[i + 1:])
+    try:
+        out = FORWARDS[name](LOADERS[name](path), _training_input(name))
+    except (DataError, NumericError):
+        return
+    assert np.all(np.isfinite(out))
+    norms = np.linalg.norm(out if name == "rnm1" else out.reshape(len(out), -1).T, axis=0)
+    if name == "rnm1":
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-9)
+    else:
+        # the real part of a unit-norm spectrum: exactly 1 unless the flip broke
+        # the conjugate symmetry between frequencies p and -p
+        assert np.all(norms <= 1 + 1e-9)
+
+
+# the header doubles eta, lambda, eps follow the integer fields
+HEADER_DOUBLES = {"rnm1": 4 + struct.calcsize("<4I"),
+                  "rns1-1d": 4 + struct.calcsize("<IBI1I2I"),
+                  "rns1-2d": 4 + struct.calcsize("<IBI2I2I")}
+
+
+@pytest.mark.parametrize("name", HEADER_DOUBLES)
+@pytest.mark.parametrize("field, value", [(0, -0.5), (0, np.nan), (1, -500.0)])
+def test_a_negative_or_nan_step_parameter_is_rejected_at_load(valid, name, field, value):
+    blob, path = valid[name]
+    i = HEADER_DOUBLES[name] + 8 * field
+    assert struct.unpack_from("<d", blob, i)[0] == (0.5, 500.0)[field]
+    path.write_bytes(blob[:i] + struct.pack("<d", value) + blob[i + 8:])
+    with pytest.raises(DataError):
+        LOADERS[name](path)
 
 
 def test_huge_declared_shape_is_truncated_not_overflowed(tmp_path):
