@@ -2,18 +2,26 @@
 
 Every ReduNet layer is one closed-form gradient step on the rate reduction.
 The engine takes that step on a stack ``V`` of shape (P, d, m): P
-frequencies of d-dimensional features for m samples. A dense network is the
-real one-frequency case and passes its (n, m) features as ``Z[None]``; an
-invariant network passes the unitary spectra of its samples (complex).
+frequencies of d-dimensional features for m samples. Frequency p stands
+for w_p frequencies of a full spectrum that share one operator; its slice
+is scaled by sqrt(w_p), so sums of |V|^2 over the stack are full-spectrum
+sums. The engine takes the weights as the shares s_p = w_p / sum(w) of the
+full spectrum, which sum to 1. A dense network is the
+real one-frequency case and passes its (n, m) features as ``Z[None]`` with
+s = [1]; an invariant network passes one frequency per conjugate pair of its
+samples' spectra (complex).
 
 Per layer the whole-set matrix and the k class matrices
 
-    A_j = I + a_j P V W_j V^H      (W_0 = I, W_j = diag(Pi_j))
+    A_j(p) = I + (a_j / s_p) V(p) W_j V(p)^H      (W_0 = I, W_j = diag(Pi_j))
 
 are filled into one (1 + k, P, d, d) stack and Cholesky-factored once. The
-log-diagonal of that factor gives the loss-curve entry, and its inverse
-gives the operators a_j A_j^-1 = a_j L^-H L^-1. :mod:`redunet.rate` is the
-readable per-matrix reference the engine is tested against.
+s-weighted log-diagonal of that factor gives the loss-curve entry, and its
+inverse gives the operators a_j A_j^-1 = a_j L^-H L^-1. The weights enter
+only there, in :func:`factor` and :func:`rates`: the update, the residual
+norms of the softmin and the renormalization are sums over the scaled
+stack and need no weights. :mod:`redunet.rate` is the readable per-matrix
+reference the engine is tested against.
 
 A layer is any object with ``gamma_j`` and ``blocks``, the pair (E, C) in
 stack layout: E broadcasts against (P, d, d) and C against (k, P, d, d).
@@ -79,10 +87,11 @@ def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
         raise DataError(f"need 0 < eta < inf and 0 <= lambda < inf, got {eta} and {lam}")
 
 
-def factor(V: np.ndarray, Pi: Membership, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
+           eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients a_j (a_0 for the whole set) and the Cholesky factors
-    of the (1 + k, P, d, d) stack. Empty classes get a_j = 0, so their block
-    is the identity and adds nothing to the rate."""
+    of the (1 + k, P, d, d) stack for frequency shares ``share``. Empty classes
+    get a_j = 0, so their block is the identity and adds nothing to the rate."""
     P, d, m = V.shape
     if Pi.m != m:
         raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
@@ -93,9 +102,9 @@ def factor(V: np.ndarray, Pi: Membership, eps: float) -> tuple[np.ndarray, np.nd
     Vh = _herm(V)
     A = np.empty((1 + Pi.k, P, d, d), dtype=V.dtype)
     np.matmul(V, Vh, out=A[0])
-    for j, w in enumerate(Pi.weights, start=1):
-        np.matmul(V * w, Vh, out=A[j])
-    A *= (coef * P)[:, None, None, None]
+    for j, pi_j in enumerate(Pi.weights, start=1):
+        np.matmul(V * pi_j, Vh, out=A[j])
+    A *= np.divide.outer(coef, share)[:, :, None, None]
     A += np.eye(d)
     try:
         return coef, np.linalg.cholesky(A)
@@ -103,11 +112,10 @@ def factor(V: np.ndarray, Pi: Membership, eps: float) -> tuple[np.ndarray, np.nd
         raise NumericError("operator argument lost positive definiteness") from exc
 
 
-def rates(L: np.ndarray, gamma: np.ndarray) -> tuple[float, float, float]:
-    """(R, Rc, dR) from the factors: row j contributes logdet(A_j) / (2P),
-    which is the rate of the whole shift family divided by its P copies."""
-    half_logdet = np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=(1, 2))
-    half_logdet /= L.shape[1]
+def rates(L: np.ndarray, share: np.ndarray, gamma: np.ndarray) -> tuple[float, float, float]:
+    """(R, Rc, dR) from the factors: row j contributes sum_p s_p logdet(A_j(p))
+    / 2, the rate of the whole shift family divided by its copies."""
+    half_logdet = np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=-1) @ share
     R = float(half_logdet[0])
     Rc = float(gamma @ half_logdet[1:])
     return R, Rc, R - Rc
@@ -151,10 +159,10 @@ def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
     return V / norms
 
 
-def construct(V: np.ndarray, Pi: Membership, L: int, eta: float, eps: float,
-              lam: float, make_layer) -> tuple[list, np.ndarray, LossCurve]:
-    """Build L layers from unit-norm samples. ``make_layer(E, C, gamma)``
-    wraps the operators; the output is produced by :func:`step` on the
+def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: float,
+              eps: float, lam: float, make_layer) -> tuple[list, np.ndarray, LossCurve]:
+    """Build L layers from unit-norm samples with frequency shares ``share``.
+    ``make_layer(E, C, gamma)`` wraps the operators; the output is produced by :func:`step` on the
     stored layer, exactly as :func:`forward` replays it. The loss curve
     entry of each layer describes its input."""
     if L < 1:
@@ -171,8 +179,8 @@ def construct(V: np.ndarray, Pi: Membership, L: int, eta: float, eps: float,
     layers, curve = [], np.empty((L, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(L):
-            coef, Lf = factor(V, Pi, eps)
-            curve[i] = rates(Lf, gamma)
+            coef, Lf = factor(V, share, Pi, eps)
+            curve[i] = rates(Lf, share, gamma)
             layers.append(make_layer(*operators(coef, Lf), gamma))
             V = step(V, layers[-1], eta, lam)
     return layers, V, LossCurve(curve)

@@ -215,12 +215,14 @@ def _load_nsc_bundle(path: str) -> SubspaceClassifier:
 
 
 def _cmd_nsc_predict(args) -> str:
+    """Every input, --labels included, is read and checked before the
+    predictions are written."""
     clf = _load_nsc_bundle(args.bundle)
     Z = _load_features(args.features)
     pred = predict_nsc(clf, Z)
+    acc = accuracy(pred, _load_labels(args.labels)) if args.labels else None
     write_tensor(args.out, Tensor.from_array(np.asarray(pred, dtype="<u4")))
-    if args.labels:
-        acc = accuracy(pred, _load_labels(args.labels))
+    if acc is not None:
         print(f"accuracy,{_fmt(acc)}")
     return args.out
 

@@ -94,7 +94,8 @@ def construct(
     (R, Rc, dR) recorded before each update, so entry 0 describes the input.
     """
     Z = _check_features(Z1)
-    layers, V, curve = _engine.construct(Z[None], Pi, L, eta, eps, lam, _dense_layer)
+    layers, V, curve = _engine.construct(Z[None], np.ones(1), Pi, L, eta, eps, lam,
+                                         _dense_layer)
     model = ReduNetModel(
         layers=tuple(layers), eta=eta, lam=lam, eps=eps, n=Z.shape[0], k=Pi.k
     )
@@ -119,7 +120,7 @@ def save_model(path, model: ReduNetModel) -> None:
 
 
 def load_model(path) -> ReduNetModel:
-    r = ContainerReader(path, MODEL_MAGIC, MODEL_VERSION)
+    r = ContainerReader(path, MODEL_MAGIC, (MODEL_VERSION,))
     L, n, k, eta, lam, eps = r.unpack("<3I3d")
     _engine.check_step(eta, lam)
     layers = _engine.read_layers(r, "<f8", L, k, 1, n, _dense_layer)

@@ -12,6 +12,14 @@ of a circulant built from z are the UNSCALED DFT of z. The per-frequency
 covariance of the shift family is therefore P * V(p) V(p)^H where P is the
 number of frequencies; the factor is fixed by the explicit-circulant oracle
 in the test suite.
+
+The samples are real, so V(-p) = conj V(p), and the operators at -p are the
+conjugates of those at p. The networks therefore run on half spectra: one
+representative p of each conjugate pair, of weight w_p = 1 if p = -p (a
+self-conjugate frequency) and 2 otherwise, carried as sqrt(w_p) V(p). Sums
+of |.|^2 over a half spectrum are full-spectrum sums, and sum(w) is the full
+count P. V(p) and the operators at self-conjugate frequencies are real, and
+are kept exactly real.
 """
 
 from __future__ import annotations
@@ -23,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .errors import BadMagicError, DataError, NumericError, ShapeError
+from .errors import BadMagicError, DataError, FormatError, NumericError, ShapeError
 from .rate import Membership
 from .tensorio import ContainerReader
 
 INV_MAGIC = b"RNS1"
-INV_VERSION = 1
+INV_VERSION = 2
 
 KIND_SHIFT1D = "shift1d"
 KIND_TRANSLATE2D = "translate2d"
@@ -154,7 +162,8 @@ def lift_random_filters_2d(
 
 @dataclass(frozen=True)
 class SpectralLayer:
-    """Per-frequency operators: E_hat is (P, C, C), C_hat is (k, P, C, C)."""
+    """Per-frequency operators on the half spectrum: E_hat is (P', C, C),
+    C_hat is (k, P', C, C), with P' the representatives of the conjugate pairs."""
 
     E_hat: np.ndarray
     C_hat: np.ndarray
@@ -184,24 +193,85 @@ class InvariantModel:
 def spectral_rate_reduction(
     V: np.ndarray, Pi: Membership, eps: float
 ) -> tuple[float, float, float]:
-    """Shift-invariant rate reduction evaluated from spectral features
+    """Shift-invariant rate reduction evaluated from full unitary spectra
     (P, C, m): the rates of the full shift family, divided by the number of
     copies it contains."""
-    _, L = _engine.factor(V, Pi, eps)
-    return _engine.rates(L, Pi.class_sizes / Pi.m)
+    share = np.full(len(V), 1 / len(V))
+    _, L = _engine.factor(V, share, Pi, eps)
+    return _engine.rates(L, share, Pi.class_sizes / Pi.m)
+
+
+@dataclass(frozen=True)
+class _HalfSpectrum:
+    """The half spectrum of real signals of extent ``dims``, on the rfftn grid
+    ``shape`` = (*dims[:-1], dims[-1] // 2 + 1) flattened row-major. Only
+    the edge columns 0 and dims[-1] / 2 hold both frequencies of a conjugate
+    pair; of those the entry of larger index is dropped.
+
+    keep: grid indices of the representatives, in grid order;
+    w: their weights, 1 at self-conjugate frequencies and 2 elsewhere;
+    dropped, partner: grid indices of the dropped entries and of their conjugates.
+    """
+
+    shape: tuple[int, ...]
+    keep: np.ndarray
+    w: np.ndarray
+    dropped: np.ndarray
+    partner: np.ndarray
+
+    @classmethod
+    def of(cls, dims: tuple[int, ...]) -> "_HalfSpectrum":
+        shape = (*dims[:-1], dims[-1] // 2 + 1)
+        grid = np.indices(shape).reshape(len(shape), -1)
+        mirror = -grid % np.reshape(dims, (-1, 1))
+        edge = mirror[-1] == grid[-1]
+        # off the edge columns an entry stands for itself and its unseen conjugate
+        conj = np.ravel_multi_index(np.where(edge, mirror, grid), shape)
+        index = np.arange(conj.size)
+        keep = conj >= index
+        w = np.where(edge & (conj == index), 1.0, 2.0)
+        return cls(shape, np.flatnonzero(keep), w[keep], np.flatnonzero(~keep), conj[~keep])
+
+    @staticmethod
+    def size(dims: tuple[int, ...]) -> int:
+        """len(keep) without building the grid: sum(w) is the full count P,
+        and the self-conjugate frequencies are those whose every coordinate
+        is 0 or half its extent."""
+        P = math.prod(dims)
+        return (P + math.prod(2 - n % 2 for n in dims)) // 2 if P else 0
+
+    @property
+    def share(self) -> np.ndarray:
+        """w / sum(w): the share of the full spectrum each representative stands for."""
+        return self.w / self.w.sum()
+
+    @property
+    def real(self) -> np.ndarray:
+        """Mask of the self-conjugate representatives."""
+        return self.w == 1
 
 
 def _to_spectral(Zbar: np.ndarray) -> np.ndarray:
-    """(m, C, *dims) real -> (P, C, m) complex unitary spectra."""
-    m, C = Zbar.shape[:2]
-    V = (dft_1d(Zbar) if Zbar.ndim == 3 else dft_2d(Zbar)).reshape(m, C, -1)
-    return np.ascontiguousarray(np.transpose(V, (2, 1, 0)))
+    """(m, C, *dims) real -> (P, C, m) sqrt(w)-scaled unitary half spectra,
+    exactly real at self-conjugate frequencies."""
+    m, C, *dims = Zbar.shape
+    half = _HalfSpectrum.of(tuple(dims))
+    V = np.fft.rfftn(Zbar, axes=range(2, Zbar.ndim), norm="ortho").reshape(m, C, -1).T
+    V = np.ascontiguousarray(V[half.keep])
+    V *= np.sqrt(half.w)[:, None, None]
+    V.imag[half.real] = 0.0
+    return V
 
 
 def _from_spectral(V: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_to_spectral`: (P, C, m) -> (m, C, *dims) real."""
     P, C, m = V.shape
-    Z = np.transpose(V, (2, 1, 0)).reshape(m, C, *dims)
-    return np.real(idft_1d(Z) if len(dims) == 1 else idft_2d(Z))
+    half = _HalfSpectrum.of(dims)
+    grid = np.empty((math.prod(half.shape), C, m), dtype=complex)
+    grid[half.keep] = V / np.sqrt(half.w)[:, None, None]
+    grid[half.dropped] = grid[half.partner].conj()
+    grid = grid.T.reshape(m, C, *half.shape)
+    return np.fft.irfftn(grid, s=dims, axes=range(2, grid.ndim), norm="ortho")
 
 
 def normalize_samples_time(Zbar: np.ndarray) -> np.ndarray:
@@ -218,10 +288,11 @@ def _construct_inv(
 ) -> tuple[InvariantModel, np.ndarray, _engine.LossCurve]:
     Zbar = np.asarray(Zbar, dtype=float)
     axes = _KIND_AXES[kind]
-    if Zbar.ndim != 2 + len(axes):
-        raise ShapeError(f"expected (m, C, {', '.join(axes)}) input")
+    if Zbar.ndim != 2 + len(axes) or not all(Zbar.shape[1:]):
+        raise ShapeError(f"expected (m, C, {', '.join(axes)}) input with nonzero C and extents")
     layers, V, curve = _engine.construct(
-        _to_spectral(Zbar), Pi, L, eta, eps, lam, SpectralLayer
+        _to_spectral(Zbar), _HalfSpectrum.of(Zbar.shape[2:]).share, Pi, L, eta, eps, lam,
+        SpectralLayer,
     )
     model = InvariantModel(
         kind=kind,
@@ -281,15 +352,30 @@ def forward_inv2d(model: InvariantModel, Zbar: np.ndarray) -> np.ndarray:
 
 
 def save_invariant_model(path, model: InvariantModel) -> None:
-    """RNS1 container; complex entries stored as interleaved re/im float64."""
+    """RNS1 version 2: the operators at the representative frequencies of the
+    half spectrum, complex entries stored as interleaved re/im float64."""
     header = INV_MAGIC + struct.pack(
         f"<IBI{len(model.dims)}I2I3d", INV_VERSION, _KIND_CODES[model.kind], model.channels,
         *model.dims, model.k, model.depth, model.eta, model.lam, model.eps)
     _engine.write_layers(path, header, model.layers, "<c16")
 
 
+def _cut_v1_layer(layer: SpectralLayer, full_index: np.ndarray,
+                  real: np.ndarray) -> SpectralLayer:
+    """A version-1 layer, stored on the full DFT grid, cut to the half
+    spectrum at ``full_index``; operators at the self-conjugate frequencies
+    ``real`` lose their imaginary part."""
+    E, C = layer.E_hat[full_index], layer.C_hat[:, full_index]
+    E.imag[real] = 0.0
+    C.imag[:, real] = 0.0
+    return SpectralLayer(E, C, layer.gamma_j)
+
+
 def load_invariant_model(path) -> InvariantModel:
-    r = ContainerReader(path, INV_MAGIC, INV_VERSION)
+    """Read RNS1 version 2, or version 1, whose full-spectrum layers are cut
+    to the half spectrum. A version-2 operator that is not real at a
+    self-conjugate frequency raises FormatError."""
+    r = ContainerReader(path, INV_MAGIC, (1, INV_VERSION))
     (kind_code,) = r.unpack("<B")
     if kind_code not in _KIND_NAMES:
         raise BadMagicError(f"{path}: unknown model kind {kind_code}")
@@ -298,7 +384,16 @@ def load_invariant_model(path) -> InvariantModel:
     dims = r.unpack(f"<{len(_KIND_AXES[kind])}I")
     k, L, eta, lam, eps = r.unpack("<2I3d")
     _engine.check_step(eta, lam)
-    layers = _engine.read_layers(r, "<c16", L, k, math.prod(dims), channels, SpectralLayer)
+    P = math.prod(dims) if r.version == 1 else _HalfSpectrum.size(dims)
+    layers = _engine.read_layers(r, "<c16", L, k, P, channels, SpectralLayer)
+    if layers:  # the grid is built only once the file has shown it holds the layers
+        half = _HalfSpectrum.of(dims)
+        if r.version == 1:
+            full_index = np.ravel_multi_index(np.unravel_index(half.keep, half.shape), dims)
+            layers = tuple(_cut_v1_layer(layer, full_index, half.real) for layer in layers)
+        elif any(np.any(block[..., half.real, :, :].imag != 0)
+                 for layer in layers for block in layer.blocks):
+            raise FormatError(f"{path}: an operator at a self-conjugate frequency is not real")
     return InvariantModel(
         kind=kind,
         layers=layers,

@@ -108,13 +108,14 @@ def read_tensor(path) -> Tensor:
 
 
 class ContainerReader:
-    """Reads a binary file front to back: the magic (if given) and the u32
-    version (if given) on opening, then header fields and arrays. Every read
+    """Reads a binary file front to back: the magic (if given) and, if
+    ``versions`` lists the supported ones, the u32 version (kept as
+    ``version``) on opening, then header fields and arrays. Every read
     is checked against the file length, so a short file raises
     TruncatedFileError, never a bare struct or numpy error, and :meth:`end`
     rejects bytes after the declared content."""
 
-    def __init__(self, path, magic: bytes = b"", version: int | None = None) -> None:
+    def __init__(self, path, magic: bytes = b"", versions: tuple[int, ...] = ()) -> None:
         with open(path, "rb") as fh:
             self.blob = fh.read()
         self.path = path
@@ -122,10 +123,10 @@ class ContainerReader:
         if not magic.startswith(self.blob[: len(magic)]):
             raise BadMagicError(f"{path}: expected magic {magic!r}")
         self._advance(len(magic))
-        if version is not None:
-            (found,) = self.unpack("<I")
-            if found != version:
-                raise VersionError(f"{path}: unsupported version {found}")
+        if versions:
+            (self.version,) = self.unpack("<I")
+            if self.version not in versions:
+                raise VersionError(f"{path}: unsupported version {self.version}")
 
     def require(self, nbytes: int) -> None:
         """Fail unless ``nbytes`` more bytes follow the current offset."""

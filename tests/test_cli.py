@@ -156,6 +156,22 @@ def test_nsc_fit_predict_reports_accuracy(tmp_path, capsys):
     assert float(line.split(",")[1]) == 1.0
 
 
+def test_nsc_predict_with_too_few_labels_exits_3_and_writes_nothing(tmp_path):
+    rng = np.random.default_rng(3)
+    feats = tmp_path / "feats.rtf"
+    write_tensor(feats, Tensor.from_array(rng.standard_normal((4, 6))))
+    labels = tmp_path / "labels.rtf"
+    write_tensor(labels, Tensor.from_array(np.repeat([0, 1], 3).astype(np.uint32)))
+    bundle = tmp_path / "bundle"
+    assert main(["nsc-fit", "--features", str(feats), "--labels", str(labels),
+                 "--r", "1", "--out", str(bundle)]) == 0
+    write_tensor(labels, Tensor.from_array(np.array([0, 0, 0, 1, 1], dtype=np.uint32)))
+    pred = tmp_path / "pred.rtf"
+    assert main(["nsc-predict", "--bundle", str(bundle), "--features", str(feats),
+                 "--out", str(pred), "--labels", str(labels)]) == 3
+    assert not pred.exists()
+
+
 def test_cossim_identity_for_orthonormal_features(tmp_path, capsys):
     feats = tmp_path / "eye.rtf"
     write_tensor(feats, Tensor.from_array(np.eye(3)))

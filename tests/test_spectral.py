@@ -1,5 +1,8 @@
 """Spectral-domain construction checked against explicit circulant algebra."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,11 @@ from circref import family_1d, family_2d, reference_construct
 from redunet import (
     BadMagicError,
     DataError,
+    FormatError,
     Membership,
     ShapeError,
+    SpectralLayer,
+    Tensor,
     TruncatedFileError,
     VersionError,
     circulant,
@@ -31,8 +37,11 @@ from redunet import (
     save_invariant_model,
     soft_threshold,
     spectral_rate_reduction,
+    write_tensor,
 )
-from redunet.spectral import _to_spectral
+from redunet import _engine, spectral
+from redunet.cli import main
+from redunet.spectral import _HalfSpectrum
 
 
 def _samples_1d(seed=0, m=3, C=2, T=4, k=2):
@@ -119,7 +128,8 @@ def test_spectral_rate_matches_circulant_family_rate():
     A = np.hstack([family_1d(z) for z in Z])
     Pi_big = Membership.from_labels(np.repeat(labels, T), k=Pi.k)
     R_big, Rc_big, dR_big = rate_reduction(A, Pi_big, 0.1)
-    R, Rc, dR = spectral_rate_reduction(_to_spectral(Z), Pi, 0.1)
+    # the public objective takes full (P, C, m) unitary spectra
+    R, Rc, dR = spectral_rate_reduction(np.transpose(dft_1d(Z), (2, 1, 0)), Pi, 0.1)
     assert R == pytest.approx(R_big / T, abs=1e-10)
     assert Rc == pytest.approx(Rc_big / T, abs=1e-10)
     assert dR == pytest.approx(dR_big / T, abs=1e-10)
@@ -194,6 +204,11 @@ def test_construct_inv_validates_input():
         construct_inv1d(Z, Pi, L=0, eta=0.5, eps=0.1)
     with pytest.raises(ShapeError):
         construct_inv1d(Z[:, 0], Pi, L=1, eta=0.5, eps=0.1)
+    for empty in (Z[:, :0], Z[..., :0]):
+        with pytest.raises(ShapeError):
+            construct_inv1d(empty, Pi, L=1, eta=0.5, eps=0.1)
+    with pytest.raises(ShapeError):
+        construct_inv2d(np.zeros((3, 2, 0, 3)), Pi, L=1, eta=0.5, eps=0.1)
 
 
 def test_construct_inv_rejects_membership_of_another_sample_count():
@@ -317,3 +332,125 @@ def test_every_proper_prefix_of_an_invariant_model_file_is_truncated(tmp_path, d
         bad.write_bytes(blob[:size])
         with pytest.raises(TruncatedFileError):
             load_invariant_model(bad)
+
+
+# ---------------------------------------------------------------------------
+# half spectrum
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (7,), (200,), (1, 1), (2, 2), (3, 3), (4, 5),
+                                  (5, 4), (1, 6), (6, 1), (16, 15), (28, 28)])
+def test_half_spectrum_keeps_one_frequency_per_conjugate_pair(dims):
+    half = _HalfSpectrum.of(dims)
+    assert len(half.keep) == _HalfSpectrum.size(dims)
+    assert half.w.sum() == math.prod(dims)
+    # every frequency of the full grid is a representative or the conjugate of one
+    coords = np.unravel_index(half.keep, half.shape)
+    rep = np.ravel_multi_index(coords, dims)
+    conj = np.ravel_multi_index(tuple(-c % n for c, n in zip(coords, dims)), dims)
+    assert np.array_equal(np.union1d(rep, conj), np.arange(math.prod(dims)))
+    assert np.array_equal(rep == conj, half.real)
+    rng = np.random.default_rng(15)
+    Z = rng.standard_normal((3, 2, *dims))
+    V = spectral._to_spectral(Z)
+    assert not np.any(V.imag[half.real])
+    np.testing.assert_allclose(spectral._from_spectral(V, dims), Z, atol=1e-12)
+    assert np.sum(np.abs(V) ** 2) == pytest.approx(np.sum(Z**2))
+
+
+def test_a_28_by_28_image_keeps_394_frequencies():
+    assert _HalfSpectrum.size((28, 28)) == 394
+
+
+def _assert_unit_norm_and_real_self_conjugate_operators(model, Z_out):
+    norms = np.linalg.norm(Z_out.reshape(len(Z_out), -1), axis=1)
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+    real = _HalfSpectrum.of(model.dims).real
+    for layer in model.layers:
+        for block in layer.blocks:
+            assert not np.any(block[..., real, :, :].imag)
+
+
+def test_a_40_layer_network_at_the_criterion_9_shape_stays_unit_norm():
+    # m=100, 15 -> 20 channels, T=200, k=10: a full-spectrum engine loses
+    # conjugate symmetry here, and its outputs had norms of 0.93 to 0.95
+    rng = np.random.default_rng(16)
+    Z = normalize_samples_time(
+        lift_random_filters_1d(rng.standard_normal((100, 15, 200)), C=20, K=5, seed=43))
+    Pi = Membership.from_labels(np.repeat(np.arange(10), 10), k=10)
+    model, Z_out, _ = construct_inv1d(Z, Pi, L=40, eta=0.5, eps=0.1)
+    _assert_unit_norm_and_real_self_conjugate_operators(model, Z_out)
+
+
+@pytest.mark.parametrize("H, W", [(16, 16), (9, 7)])
+def test_a_30_layer_2d_network_stays_unit_norm(H, W):
+    rng = np.random.default_rng(17)
+    Z = normalize_samples_time(
+        lift_random_filters_2d(rng.standard_normal((20, H, W)), C=4, K=3, seed=42))
+    Pi = Membership.from_labels(np.repeat([0, 1], 10), k=2)
+    model, Z_out, _ = construct_inv2d(Z, Pi, L=30, eta=0.5, eps=0.1)
+    _assert_unit_norm_and_real_self_conjugate_operators(model, Z_out)
+
+
+def _write_v1(path, model):
+    """An RNS1 version-1 file: the model's layers mirrored to the full DFT grid."""
+    half = _HalfSpectrum.of(model.dims)
+    coords = np.unravel_index(half.keep, half.shape)
+    rep = np.ravel_multi_index(coords, model.dims)
+    conj = np.ravel_multi_index(tuple(-c % n for c, n in zip(coords, model.dims)), model.dims)
+
+    def mirror(block):
+        full = np.empty((*block.shape[:-3], math.prod(model.dims), *block.shape[-2:]),
+                        dtype=complex)
+        full[..., conj, :, :] = block.conj()
+        full[..., rep, :, :] = block
+        return full
+
+    header = b"RNS1" + struct.pack(
+        f"<IBI{len(model.dims)}I2I3d", 1, 1 if model.kind == "shift1d" else 2,
+        model.channels, *model.dims, model.k, model.depth, model.eta, model.lam, model.eps)
+    layers = [SpectralLayer(mirror(la.E_hat), mirror(la.C_hat), la.gamma_j)
+              for la in model.layers]
+    _engine.write_layers(path, header, layers, "<c16")
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_a_version_1_model_loads_as_its_half_spectrum(tmp_path, dim):
+    if dim == "1d":
+        Z, _, Pi = _samples_1d(seed=18, m=6, T=8)
+        model, Z_out, _ = construct_inv1d(Z, Pi, L=4, eta=0.5, eps=0.1)
+        forward = forward_inv1d
+    else:
+        Z, _, Pi = _samples_2d(seed=18, m=6, H=4, W=5)
+        model, Z_out, _ = construct_inv2d(Z, Pi, L=4, eta=0.5, eps=0.1)
+        forward = forward_inv2d
+    path = tmp_path / "v1.rns"
+    _write_v1(path, model)
+    back = load_invariant_model(path)
+    for la, lb in zip(model.layers, back.layers, strict=True):
+        np.testing.assert_array_equal(la.E_hat, lb.E_hat)
+        np.testing.assert_array_equal(la.C_hat, lb.C_hat)
+    np.testing.assert_allclose(forward(back, Z), Z_out, rtol=0, atol=1e-12)
+    # it is written back as version 2, at half the operator bytes
+    save_invariant_model(tmp_path / "v2.rns", back)
+    blob = (tmp_path / "v2.rns").read_bytes()
+    assert struct.unpack_from("<I", blob, 4) == (2,)
+    assert len(blob) < path.stat().st_size
+
+
+def test_a_version_2_operator_that_is_not_real_at_a_self_conjugate_frequency_is_rejected(
+        tmp_path):
+    Z, _, Pi = _samples_1d(seed=19, T=6)
+    model, _, _ = construct_inv1d(Z, Pi, L=2, eta=0.5, eps=0.1)
+    layers = list(model.layers)
+    C_hat = layers[1].C_hat.copy()
+    C_hat[1, 3, 0, 1] += 1e-300j  # frequency 3 of T=6 is its own conjugate
+    layers[1] = SpectralLayer(layers[1].E_hat, C_hat, layers[1].gamma_j)
+    path = tmp_path / "bad.rns"
+    save_invariant_model(path, type(model)(**{**vars(model), "layers": tuple(layers)}))
+    with pytest.raises(FormatError):
+        load_invariant_model(path)
+    feats = tmp_path / "sig.rtf"
+    write_tensor(feats, Tensor.from_array(Z))
+    assert main(["forward-inv1d", "--model", str(path), "--features", str(feats),
+                 "--out", str(tmp_path / "out.rtf")]) == 3
