@@ -198,10 +198,10 @@ def write_layers(path, header: bytes, layers, dtype: str) -> None:
     as float64 and per layer E and C^1..C^k in stack layout as ``dtype``."""
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(layers[0].gamma_j, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(layers[0].gamma_j, dtype="<f8"))
         for layer in layers:
             for block in layer.blocks:
-                fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
+                fh.write(np.ascontiguousarray(block, dtype=dtype))
 
 
 def read_layers(r, dtype: str, L: int, k: int, P: int, d: int, make_layer) -> tuple:

@@ -61,21 +61,35 @@ def fit_nsc(Z: np.ndarray, labels: np.ndarray, r: int = 30) -> SubspaceClassifie
 
 
 def predict_nsc(clf: SubspaceClassifier, Z: np.ndarray) -> np.ndarray:
-    """Assign each column of Z to the class with the smallest residual
-    after projecting the centered query onto that class's subspace. Ties go
-    to the smallest class index."""
+    """Assign each column z of Z to the class j with the smallest residual
+    after projecting z - mu_j onto that class's subspace.
+
+    With orthonormal bases (U_j^T U_j = I) the squared residual is
+
+        ||z - mu_j||^2 - ||U_j^T (z - mu_j)||^2,   clamped at 0,
+
+    computed from one stacked product [U_1 ... U_k, M^T]^T Z, where the
+    columns of M^T are the class means, so Z is read a constant number of
+    times whatever k is. Its rounding error is of order machine epsilon times
+    ||z||^2 + ||mu_j||^2. The class is the argmin of the squared residual,
+    which orders classes as the residual does; ties go to the smallest class
+    index.
+    """
     single = np.ndim(Z) == 1
     Z = _check_features(np.reshape(Z, (-1, 1)) if single else Z)
     if Z.shape[0] != clf.n:
         raise ShapeError(f"expected {clf.n} rows, got {Z.shape[0]}")
-    residuals = np.empty((clf.k, Z.shape[1]))
-    for j in range(clf.k):
-        D = Z - clf.means[j][:, None]
-        U = clf.bases[j]
-        if U.shape[1]:
-            D = D - U @ (U.T @ D)
-        residuals[j] = np.linalg.norm(D, axis=0)
-    pred = np.argmin(residuals, axis=0).astype(np.uint32)
+    widths = [U.shape[1] for U in clf.bases]
+    B = np.concatenate([*clf.bases, clf.means.T], axis=1)  # n x (sum r_j + k)
+    proj = B.T @ Z
+    r = sum(widths)
+    mean_proj = np.concatenate([U.T @ mu for U, mu in zip(clf.bases, clf.means)])
+    owner = np.repeat(np.arange(clf.k), widths) == np.arange(clf.k)[:, None]  # k x sum r_j
+    in_span = owner.astype(float) @ np.square(proj[:r] - mean_proj[:, None])
+    dist = (np.einsum("ij,ij->j", Z, Z)[None, :] - 2.0 * proj[r:]
+            + np.einsum("ij,ij->i", clf.means, clf.means)[:, None])
+    residual_sq = np.maximum(dist - in_span, 0.0)
+    pred = np.argmin(residual_sq, axis=0).astype(np.uint32)
     return pred[0] if single else pred
 
 

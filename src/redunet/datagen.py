@@ -172,7 +172,8 @@ def augment_shifts(
     if X.shape[0] != labels.size:
         raise ShapeError(f"{X.shape[0]} samples but {labels.size} labels")
     shifts = list(itertools.product(*(range(0, X.shape[a], stride) for a in axes)))
-    out = np.concatenate(
-        [np.stack([np.roll(x, s, axis=axes) for s in shifts]) for x in X]
-    )
-    return out, np.repeat(labels, len(shifts))
+    m, count = X.shape[0], len(shifts)
+    out = np.empty((m, count) + X.shape[1:], dtype=X.dtype)
+    for i, s in enumerate(shifts):  # one roll of the whole batch per shift
+        out[:, i] = np.roll(X, s, axis=axes)
+    return out.reshape((m * count,) + X.shape[1:]), np.repeat(labels, count)

@@ -90,7 +90,7 @@ def write_tensor(path, t: Tensor) -> None:
     header += struct.pack(f"<{len(t.shape)}Q", *t.shape)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(t.data.tobytes())
+        fh.write(t.data)  # contiguous little-endian buffer, written without a copy
 
 
 def read_tensor(path) -> Tensor:

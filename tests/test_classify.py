@@ -85,6 +85,57 @@ def test_ties_go_to_the_smallest_class_index():
     assert predict_nsc(clf, np.zeros(2)) == 0
 
 
+def _explicit_predict(clf, Z):
+    """Reference: the residual of each class from an explicit centred copy
+    of the queries and its projection."""
+    residuals = []
+    for mu, U in zip(clf.means, clf.bases):
+        D = Z - mu[:, None]
+        residuals.append(np.linalg.norm(D - U @ (U.T @ D), axis=0))
+    return np.argmin(residuals, axis=0)
+
+
+def _random_bundle(rng, n, widths, offset):
+    means = offset + rng.standard_normal((len(widths), n))
+    bases = tuple(np.linalg.qr(rng.standard_normal((n, r)))[0] for r in widths)
+    return SubspaceClassifier(means=means, bases=bases)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("seed", range(4))
+def test_predictions_match_the_explicit_residuals(seed, offset):
+    rng = np.random.default_rng(seed)
+    n = 8
+    # mixed widths with rank-0 classes and one class spanning all of R^n,
+    # whose residual is 0 (clamped) for every query
+    for widths in ([0, 3, 1, 0, 5], [2, 0, 7, 1], [0, n, 2, 4]):
+        clf = _random_bundle(rng, n, widths, offset)
+        Z = offset + 2.0 * rng.standard_normal((n, 200))
+        # half the queries sit near a class mean so every class wins some
+        near = rng.integers(len(widths), size=100)
+        Z[:, :100] = clf.means[near].T + 0.3 * rng.standard_normal((n, 100))
+        pred = predict_nsc(clf, Z)
+        np.testing.assert_array_equal(pred, _explicit_predict(clf, Z))
+        if n in widths:
+            assert np.all(pred == widths.index(n))
+        for i in range(3):
+            assert predict_nsc(clf, Z[:, i]) == pred[i]
+
+
+def test_exact_class_members_are_recovered_when_another_mean_is_nearer():
+    rng = np.random.default_rng(8)
+    n, widths = 6, [2, 1, 3, 2]
+    for j in range(len(widths)):
+        clf = _random_bundle(rng, n, widths, offset=0.0)
+        U = clf.bases[j]
+        x = clf.means[j] + U @ (5.0 * rng.standard_normal(U.shape[1]))
+        # put the next class's mean right beside the query
+        other = (j + 1) % len(widths)
+        clf.means[other] = x + 0.1 * rng.standard_normal(n)
+        assert np.argmin(np.linalg.norm(clf.means - x, axis=1)) == other
+        assert predict_nsc(clf, x) == j
+
+
 def test_single_query_returns_a_scalar():
     Z, labels = _subspace_data(seed=4)
     clf = fit_nsc(Z, labels, r=2)

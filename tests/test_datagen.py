@@ -1,5 +1,7 @@
 """Synthetic generators, polar resampling, and cyclic augmentation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,23 @@ def test_augment_identity_when_stride_covers_the_axis():
     out, out_labels = augment_shifts(X, np.arange(4), stride=12, kind="1d")
     np.testing.assert_array_equal(out, X)
     np.testing.assert_array_equal(out_labels, np.arange(4))
+
+
+@pytest.mark.parametrize("kind, shape, stride", [
+    ("1d", (3, 2, 10), 3),
+    ("1d", (2, 12), 4),
+    ("2d", (3, 2, 7, 5), 3),
+    ("2d", (2, 6, 8), 2),
+])
+def test_augment_matches_per_sample_shifts(kind, shape, stride):
+    X = np.random.default_rng(12).standard_normal(shape)
+    labels = np.arange(shape[0])
+    out, out_labels = augment_shifts(X, labels, stride=stride, kind=kind)
+    axes = (-1,) if kind == "1d" else (-2, -1)
+    shifts = list(itertools.product(*(range(0, shape[a], stride) for a in axes)))
+    expected = np.stack([np.roll(x, s, axis=axes) for x in X for s in shifts])
+    assert out.tobytes() == expected.tobytes() and out.shape == expected.shape
+    np.testing.assert_array_equal(out_labels, np.repeat(labels, len(shifts)))
 
 
 def test_augment_rejects_bad_arguments():

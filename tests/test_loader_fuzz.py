@@ -246,6 +246,14 @@ def test_nsc_bundle_reads_widths_from_its_basis_files(tmp_path, capsys):
     # manifest.txt is informational: without its basis_dims line nothing changes
     (bundle / "manifest.txt").write_text("classes=2\n")
     assert predict("bare") == (0, full)
-    write_tensor(bundle / "basis_0.rtf", Tensor.from_array(np.zeros((3, 2))))
-    assert predict("bad_rows")[0] == 3
+    # the residual formula needs orthonormal bases: a scaled basis and one
+    # wider than it is tall are rejected before any prediction is written
+    U0 = read_tensor(bundle / "basis_0.rtf").to_array()
+    for tag, basis in [("scaled", 2.0 * U0), ("wide", np.eye(4, 5)), ("bad_rows", np.zeros((3, 2)))]:
+        write_tensor(bundle / "basis_0.rtf", Tensor.from_array(basis))
+        assert predict(tag)[0] == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / f"pred_{tag}.rtf").exists()
+    write_tensor(bundle / "means.rtf", Tensor.from_array(np.zeros((0, 4))))
+    assert predict("no_classes")[0] == 3
     assert "Traceback" not in capsys.readouterr().err
