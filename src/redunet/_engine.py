@@ -23,6 +23,12 @@ norms of the softmin and the renormalization are sums over the scaled
 stack and need no weights. :mod:`redunet.rate` is the readable per-matrix
 reference the engine is tested against.
 
+The update of a sample depends on that sample alone: its increment and its
+softmin membership read only its own column. :func:`step` therefore takes
+the update on blocks of samples, sized so that one block's (k, P, d, b)
+class products C_j V fit in STEP_BLOCK_BYTES. Construction and serving
+hold the batch, its update and one block, not k copies of the batch.
+
 A layer is any object with ``gamma_j`` and ``blocks``, the pair (E, C) in
 stack layout: E broadcasts against (P, d, d) and C against (k, P, d, d).
 The RNM1 and RNS1 containers store layers in that layout (:func:`write_layers`).
@@ -39,6 +45,7 @@ from .errors import DataError, NumericError, ShapeError
 from .rate import Membership, check_eps
 
 UNIT_NORM_TOL = 1e-9
+STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V in step(); see there
 
 
 def _herm(X: np.ndarray) -> np.ndarray:
@@ -150,13 +157,33 @@ def increment(V: np.ndarray, E: np.ndarray, C: np.ndarray, gamma: np.ndarray,
 
 
 def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
-    """One layer: V + eta * increment, renormalized to unit sample norm. A zero
-    or non-finite norm raises NumericError, so callers silence numpy's warnings."""
-    V = V + eta * increment(V, *layer.blocks, layer.gamma_j, lam)
-    norms = np.sqrt(_sq_norms(V, "pax,pax->x"))
+    """One layer: V + eta * increment, renormalized to unit sample norm.
+
+    The update is taken on blocks of b samples, b the most (at least one)
+    whose (k, P, d, b) class products fit in STEP_BLOCK_BYTES, and renormalized
+    in place. A batch that fits one block gets the arithmetic of the
+    unblocked update, bit for bit. A zero or non-finite norm raises
+    NumericError, so callers silence numpy's warnings."""
+    E, C = layer.blocks
+    P, d, m = V.shape
+    per_sample = len(layer.gamma_j) * P * d * np.result_type(V, C).itemsize
+    b = max(1, STEP_BLOCK_BYTES // max(1, per_sample))
+    if m <= b:  # one block: the increment's buffer becomes the output
+        out = increment(V, E, C, layer.gamma_j, lam)
+        out *= eta
+        out += V
+    else:
+        out = np.empty(V.shape, np.result_type(V, E, C))
+        for start in range(0, m, b):
+            cols = np.s_[..., start:start + b]
+            dV = increment(V[cols], E, C, layer.gamma_j, lam)
+            dV *= eta
+            np.add(V[cols], dV, out=out[cols])
+    norms = np.sqrt(_sq_norms(out, "pax,pax->x"))
     if not np.all((norms > 0) & (norms < np.inf)):
         raise NumericError("a sample collapsed to zero or became non-finite during the update")
-    return V / norms
+    out /= norms
+    return out
 
 
 def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: float,

@@ -120,8 +120,8 @@ def save_model(path, model: ReduNetModel) -> None:
 
 
 def load_model(path) -> ReduNetModel:
-    r = ContainerReader(path, MODEL_MAGIC, (MODEL_VERSION,))
-    L, n, k, eta, lam, eps = r.unpack("<3I3d")
-    _engine.check_step(eta, lam)
-    layers = _engine.read_layers(r, "<f8", L, k, 1, n, _dense_layer)
+    with ContainerReader(path, MODEL_MAGIC, (MODEL_VERSION,)) as r:
+        L, n, k, eta, lam, eps = r.unpack("<3I3d")
+        _engine.check_step(eta, lam)
+        layers = _engine.read_layers(r, "<f8", L, k, 1, n, _dense_layer)
     return ReduNetModel(layers=layers, eta=eta, lam=lam, eps=eps, n=n, k=k)

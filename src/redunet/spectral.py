@@ -375,17 +375,17 @@ def load_invariant_model(path) -> InvariantModel:
     """Read RNS1 version 2, or version 1, whose full-spectrum layers are cut
     to the half spectrum. A version-2 operator that is not real at a
     self-conjugate frequency raises FormatError."""
-    r = ContainerReader(path, INV_MAGIC, (1, INV_VERSION))
-    (kind_code,) = r.unpack("<B")
-    if kind_code not in _KIND_NAMES:
-        raise BadMagicError(f"{path}: unknown model kind {kind_code}")
-    kind = _KIND_NAMES[kind_code]
-    (channels,) = r.unpack("<I")
-    dims = r.unpack(f"<{len(_KIND_AXES[kind])}I")
-    k, L, eta, lam, eps = r.unpack("<2I3d")
-    _engine.check_step(eta, lam)
-    P = math.prod(dims) if r.version == 1 else _HalfSpectrum.size(dims)
-    layers = _engine.read_layers(r, "<c16", L, k, P, channels, SpectralLayer)
+    with ContainerReader(path, INV_MAGIC, (1, INV_VERSION)) as r:
+        (kind_code,) = r.unpack("<B")
+        if kind_code not in _KIND_NAMES:
+            raise BadMagicError(f"{path}: unknown model kind {kind_code}")
+        kind = _KIND_NAMES[kind_code]
+        (channels,) = r.unpack("<I")
+        dims = r.unpack(f"<{len(_KIND_AXES[kind])}I")
+        k, L, eta, lam, eps = r.unpack("<2I3d")
+        _engine.check_step(eta, lam)
+        P = math.prod(dims) if r.version == 1 else _HalfSpectrum.size(dims)
+        layers = _engine.read_layers(r, "<c16", L, k, P, channels, SpectralLayer)
     if layers:  # the grid is built only once the file has shown it holds the layers
         half = _HalfSpectrum.of(dims)
         if r.version == 1:

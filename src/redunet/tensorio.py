@@ -15,6 +15,7 @@ All real payloads are 64-bit; label payloads are uint32.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -95,15 +96,15 @@ def write_tensor(path, t: Tensor) -> None:
 
 def read_tensor(path) -> Tensor:
     """Read an RTF1 file; exact inverse of :func:`write_tensor`."""
-    r = ContainerReader(path, MAGIC)
-    dtype, ndim = r.unpack("<BB")
-    if dtype not in _NUMPY_DTYPES:
-        raise UnknownDtypeError(f"{path}: unknown dtype code {dtype}")
-    if not 1 <= ndim <= 4:
-        raise ShapeError(f"{path}: rank {ndim} outside 1..4")
-    shape = r.unpack(f"<{ndim}Q")
-    data = r.array(_NUMPY_DTYPES[dtype], shape)
-    r.end()
+    with ContainerReader(path, MAGIC) as r:
+        dtype, ndim = r.unpack("<BB")
+        if dtype not in _NUMPY_DTYPES:
+            raise UnknownDtypeError(f"{path}: unknown dtype code {dtype}")
+        if not 1 <= ndim <= 4:
+            raise ShapeError(f"{path}: rank {ndim} outside 1..4")
+        shape = r.unpack(f"<{ndim}Q")
+        data = r.array(_NUMPY_DTYPES[dtype], shape)
+        r.end()
     return Tensor(shape=shape, data=data, dtype=dtype)
 
 
@@ -111,54 +112,72 @@ class ContainerReader:
     """Reads a binary file front to back: the magic (if given) and, if
     ``versions`` lists the supported ones, the u32 version (kept as
     ``version``) on opening, then header fields and arrays. Every read
-    is checked against the file length, so a short file raises
-    TruncatedFileError, never a bare struct or numpy error, and :meth:`end`
-    rejects bytes after the declared content."""
+    is checked against the file length before anything is read or
+    allocated, so a short file raises TruncatedFileError, never a bare
+    struct or numpy error, and :meth:`end` rejects bytes after the declared
+    content. Arrays are read straight into their own buffers, so reading a
+    file costs its size once. Use it as a context manager: the file is
+    closed on leaving it, and at once if opening fails."""
 
     def __init__(self, path, magic: bytes = b"", versions: tuple[int, ...] = ()) -> None:
-        with open(path, "rb") as fh:
-            self.blob = fh.read()
         self.path = path
         self.offset = 0
-        if not magic.startswith(self.blob[: len(magic)]):
-            raise BadMagicError(f"{path}: expected magic {magic!r}")
-        self._advance(len(magic))
-        if versions:
-            (self.version,) = self.unpack("<I")
-            if self.version not in versions:
-                raise VersionError(f"{path}: unsupported version {self.version}")
+        self._fh = open(path, "rb")
+        try:
+            self.size = os.fstat(self._fh.fileno()).st_size
+            if not magic.startswith(self._fh.read(len(magic))):
+                raise BadMagicError(f"{path}: expected magic {magic!r}")
+            self.require(len(magic))
+            self.offset = len(magic)
+            if versions:
+                (self.version,) = self.unpack("<I")
+                if self.version not in versions:
+                    raise VersionError(f"{path}: unsupported version {self.version}")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "ContainerReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
 
     def require(self, nbytes: int) -> None:
         """Fail unless ``nbytes`` more bytes follow the current offset."""
-        if self.offset + nbytes > len(self.blob):
+        if self.offset + nbytes > self.size:
             raise TruncatedFileError(
-                f"{self.path}: file has {len(self.blob)} bytes, format requires "
+                f"{self.path}: file has {self.size} bytes, format requires "
                 f"{self.offset + nbytes}"
             )
 
-    def _advance(self, nbytes: int) -> int:
-        self.require(nbytes)
-        start = self.offset
-        self.offset += nbytes
-        return start
-
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
+        return struct.unpack(fmt, self._read_into(bytearray(struct.calcsize(fmt))))
 
     def array(self, dtype, shape: tuple[int, ...]) -> np.ndarray:
-        """A fresh copy of the next prod(shape) elements."""
+        """The next prod(shape) elements, read into a new array."""
         dt = np.dtype(dtype)
-        count = math.prod(shape)
-        start = self._advance(count * dt.itemsize)
+        self.require(math.prod(shape) * dt.itemsize)
         try:  # an empty array may still declare extents numpy cannot index
-            return np.frombuffer(self.blob, dt, count, start).reshape(shape).copy()
+            out = np.empty(shape, dt)
         except ValueError as exc:
             raise ShapeError(f"{self.path}: unsupported shape {shape}") from exc
+        self._read_into(out.reshape(-1).view(np.uint8))
+        return out
+
+    def _read_into(self, buf):
+        """Fill ``buf`` with the next len(buf) bytes; a file that shrank
+        since it was opened is truncated."""
+        self.require(len(buf))
+        self.offset += len(buf)
+        if self._fh.readinto(buf) != len(buf):
+            raise TruncatedFileError(f"{self.path}: file ended before byte {self.offset}")
+        return buf
 
     def end(self) -> None:
         """Fail unless the whole file has been read."""
-        if self.offset != len(self.blob):
-            raise FormatError(f"{self.path}: {len(self.blob) - self.offset} trailing bytes")
+        if self.offset != self.size:
+            raise FormatError(f"{self.path}: {self.size - self.offset} trailing bytes")
 
 
 def read_idx(path) -> Tensor:
@@ -168,16 +187,16 @@ def read_idx(path) -> Tensor:
     bytes scaled to [0, 1] by dividing by 255. Label files (magic 0x801)
     become an m-length uint32 tensor; a short payload raises ShapeError.
     """
-    r = ContainerReader(path)
-    (magic,) = r.unpack(">I")
-    if magic not in (IDX_MAGIC_LABELS, IDX_MAGIC_IMAGES):
-        raise UnknownDtypeError(f"{path}: unsupported IDX magic 0x{magic:08x}")
-    dims = r.unpack(">I" if magic == IDX_MAGIC_LABELS else ">3I")
-    try:
-        raw = r.array(np.uint8, dims)
-    except TruncatedFileError as exc:
-        raise ShapeError(f"{path}: IDX payload is shorter than its dimensions") from exc
-    r.end()
+    with ContainerReader(path) as r:
+        (magic,) = r.unpack(">I")
+        if magic not in (IDX_MAGIC_LABELS, IDX_MAGIC_IMAGES):
+            raise UnknownDtypeError(f"{path}: unsupported IDX magic 0x{magic:08x}")
+        dims = r.unpack(">I" if magic == IDX_MAGIC_LABELS else ">3I")
+        try:
+            raw = r.array(np.uint8, dims)
+        except TruncatedFileError as exc:
+            raise ShapeError(f"{path}: IDX payload is shorter than its dimensions") from exc
+        r.end()
     if magic == IDX_MAGIC_LABELS:
         return Tensor(shape=dims, data=raw.astype("<u4"), dtype=DTYPE_UINT32)
     return Tensor(shape=dims, data=raw.astype("<f8") / 255.0, dtype=DTYPE_REAL64)

@@ -25,6 +25,7 @@ from redunet import (
     save_model,
     sphere_project,
 )
+from redunet import _engine
 
 
 def _toy_problem(seed=0, n=4, k=3, per_class=5):
@@ -61,6 +62,23 @@ def test_forward_replays_construction_exactly():
     Z, Pi = _toy_problem(seed=1)
     model, Z_out, _ = construct(Z, Pi, L=6, eta=0.5, eps=0.3)
     np.testing.assert_array_equal(forward(model, Z), Z_out)
+
+
+def _reference_forward(model, Z):
+    """Each layer as one unblocked update: V + eta * increment(V), renormalized."""
+    V = Z[None]
+    for layer in model.layers:
+        V = V + model.eta * _engine.increment(V, *layer.blocks, layer.gamma_j, model.lam)
+        V = V / np.sqrt(_engine._sq_norms(V, "pax,pax->x"))
+    return V[0]
+
+
+def test_construct_and_forward_are_the_unblocked_update_exactly():
+    Z, Pi = _toy_problem(seed=2, n=3, k=3, per_class=40)
+    model, Z_out, _ = construct(Z, Pi, L=8, eta=0.5, eps=0.3)
+    np.testing.assert_array_equal(Z_out, _reference_forward(model, Z))
+    Z_new, _ = _toy_problem(seed=3, n=3, k=3, per_class=25)
+    np.testing.assert_array_equal(forward(model, Z_new), _reference_forward(model, Z_new))
 
 
 def _layer_inputs(model, Z):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,75 @@ def test_forward_inv2d_commutes_with_translations():
         np.testing.assert_allclose(
             shifted, np.roll(Z_out, (p, q), axis=(-2, -1)), atol=1e-9
         )
+
+
+def _block_budget(model, samples):
+    """A STEP_BLOCK_BYTES that makes the engine step ``samples`` columns at a time."""
+    k, P, d = model.layers[0].C_hat.shape[:3]
+    return samples * k * P * d * np.dtype(complex).itemsize
+
+
+def _count_block_widths(monkeypatch):
+    widths = []
+    increment = _engine.increment
+
+    def counted(V, *args):
+        widths.append(V.shape[-1])
+        return increment(V, *args)
+
+    monkeypatch.setattr(_engine, "increment", counted)
+    return widths
+
+
+def test_sample_blocks_match_one_block(monkeypatch):
+    Z1, _, Pi1 = _samples_1d(seed=21, m=11, C=3, T=8, k=3)
+    Z2, _, Pi2 = _samples_2d(seed=22, m=11, C=2, H=5, W=6, k=3)
+    model1, out1, curve1 = construct_inv1d(Z1, Pi1, L=3, eta=0.5, eps=0.5)
+    model2, _, _ = construct_inv2d(Z2, Pi2, L=2, eta=0.5, eps=0.5)
+    Z2_new, _, _ = _samples_2d(seed=23, m=11, C=2, H=5, W=6)
+    fwd2 = forward_inv2d(model2, Z2_new)
+
+    widths = _count_block_widths(monkeypatch)
+    monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model1, 4))
+    blocked1, blocked_out1, blocked_curve1 = construct_inv1d(Z1, Pi1, L=3, eta=0.5, eps=0.5)
+    assert widths == [4, 4, 3] * 3
+    np.testing.assert_allclose(blocked_curve1.values, curve1.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(blocked_out1, out1, rtol=0, atol=1e-12)
+    for a, b in zip(blocked1.layers, model1.layers):
+        np.testing.assert_allclose(a.C_hat, b.C_hat, rtol=0, atol=1e-12)
+
+    widths.clear()
+    monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model2, 4))
+    np.testing.assert_allclose(forward_inv2d(model2, Z2_new), fwd2, rtol=0, atol=1e-12)
+    assert widths == [4, 4, 3] * 2
+
+
+def test_forward_of_a_batch_is_the_forward_of_its_halves(monkeypatch):
+    Z, _, Pi = _samples_2d(seed=24, m=9, C=2, H=4, W=5, k=3)
+    model, _, _ = construct_inv2d(Z, Pi, L=3, eta=0.5, eps=0.5)
+    batch, _, _ = _samples_2d(seed=25, m=13, C=2, H=4, W=5)
+    monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model, 3))
+    halves = np.concatenate([forward_inv2d(model, batch[:6]), forward_inv2d(model, batch[6:])])
+    np.testing.assert_allclose(forward_inv2d(model, batch), halves, rtol=0, atol=1e-12)
+
+
+def test_forward_memory_is_the_batch_plus_one_block(monkeypatch):
+    # at k = 10 the class products of the whole batch are 10x its spectra;
+    # blocked, the traced peak stays a few batches plus one block
+    Z, _, Pi = _samples_2d(seed=26, m=20, C=4, H=16, W=16, k=10)
+    model, _, _ = construct_inv2d(Z, Pi, L=1, eta=0.5, eps=0.5)
+    batch, _, _ = _samples_2d(seed=27, m=400, C=4, H=16, W=16)
+    budget = 1 << 20
+    spectra = 400 * _HalfSpectrum.size((16, 16)) * 4 * np.dtype(complex).itemsize
+    assert model.k * spectra > 30 * budget
+    monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        forward_inv2d(model, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * batch.nbytes + budget
 
 
 def test_output_samples_stay_unit_norm():

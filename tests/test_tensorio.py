@@ -1,6 +1,7 @@
 """Round trips and failure modes of the RTF1 container and IDX ingestion."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ def test_truncated_payload(tmp_path):
     bad.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(TruncatedFileError):
         read_tensor(bad)
+
+
+def test_reading_a_tensor_costs_its_size_once(tmp_path):
+    path = tmp_path / "big.rtf"
+    write_tensor(path, Tensor.from_array(np.arange(1 << 20, dtype=float)))
+    size = path.stat().st_size
+    assert size >= 8 << 20
+    tracemalloc.start()
+    try:
+        read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * size
 
 
 def _idx_labels_bytes(labels):
