@@ -161,24 +161,20 @@ def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
 
     The update is taken on blocks of b samples, b the most (at least one)
     whose (k, P, d, b) class products fit in STEP_BLOCK_BYTES, and renormalized
-    in place. A batch that fits one block gets the arithmetic of the
-    unblocked update, bit for bit. A zero or non-finite norm raises
+    in place. A batch that fits one block, m * k * P * d * itemsize <=
+    STEP_BLOCK_BYTES, gets the values of the unblocked update bit for bit: the
+    same operations run on the same operands. A zero or non-finite norm raises
     NumericError, so callers silence numpy's warnings."""
     E, C = layer.blocks
     P, d, m = V.shape
     per_sample = len(layer.gamma_j) * P * d * np.result_type(V, C).itemsize
     b = max(1, STEP_BLOCK_BYTES // max(1, per_sample))
-    if m <= b:  # one block: the increment's buffer becomes the output
-        out = increment(V, E, C, layer.gamma_j, lam)
-        out *= eta
-        out += V
-    else:
-        out = np.empty(V.shape, np.result_type(V, E, C))
-        for start in range(0, m, b):
-            cols = np.s_[..., start:start + b]
-            dV = increment(V[cols], E, C, layer.gamma_j, lam)
-            dV *= eta
-            np.add(V[cols], dV, out=out[cols])
+    out = np.empty(V.shape, np.result_type(V, E, C))
+    for start in range(0, m, b):
+        cols = np.s_[..., start:start + b]
+        dV = increment(V[cols], E, C, layer.gamma_j, lam)
+        dV *= eta
+        np.add(V[cols], dV, out=out[cols])
     norms = np.sqrt(_sq_norms(out, "pax,pax->x"))
     if not np.all((norms > 0) & (norms < np.inf)):
         raise NumericError("a sample collapsed to zero or became non-finite during the update")
