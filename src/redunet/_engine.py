@@ -233,6 +233,8 @@ def read_layers(r, dtype: str, L: int, k: int, P: int, d: int, make_layer) -> tu
     ``make_layer(E, C, gamma)``, as in :func:`construct`."""
     if P * d == 0:
         raise ShapeError(f"{r.path}: a model needs nonempty layer blocks")
+    if k < 1:
+        raise ShapeError(f"{r.path}: a model needs at least one class")
     gamma = r.array("<f8", (k,))
     r.require(L * (1 + k) * P * d * d * np.dtype(dtype).itemsize)
     layers = tuple(make_layer(r.array(dtype, (P, d, d)), r.array(dtype, (k, P, d, d)), gamma)

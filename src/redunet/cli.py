@@ -47,7 +47,6 @@ from .spectral import (
 from .tensorio import Tensor, read_idx, read_tensor, write_tensor
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -112,8 +111,6 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_gen_gaussians(args) -> str:
-    if args.per_class < 1:
-        raise SystemExit(EXIT_USAGE)
     spec = GaussianMixtureSpec(
         n=args.dims, k=args.classes, m_per_class=args.per_class,
         sigma=args.sigma, seed=args.seed,

@@ -110,32 +110,27 @@ def _check_features(Z: np.ndarray) -> np.ndarray:
     return Z
 
 
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("matrix is not positive definite") from exc
+
+
 def logdet_spd(A: np.ndarray) -> float:
     """logdet of a symmetric (or Hermitian) positive definite matrix via
     Cholesky; raises NumericError on loss of positive-definiteness."""
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("matrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(L)))))
+    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(_cholesky(A))))))
 
 
-def _rate_from_scatter(scale: float, Z: np.ndarray, weights: np.ndarray | None) -> float:
-    """1/2 logdet(I + scale * Z W Z^T), routed through the smaller Gram form."""
-    n, m = Z.shape
-    if weights is None:
-        if m < n:
-            G = Z.T @ Z
-        else:
-            G = Z @ Z.T
-    else:
-        if m < n:
-            Ws = Z * np.sqrt(weights)
-            G = Ws.T @ Ws
-        else:
-            G = (Z * weights) @ Z.T
-    A = np.eye(G.shape[0]) + scale * G
-    return 0.5 * logdet_spd(A)
+def _rate_from_scatter(scale: float, Z: np.ndarray, weights=1.0) -> float:
+    """1/2 logdet(I + scale * Z diag(weights) Z^T) = 1/2 logdet(I + scale * W W^T)
+    with W = Z sqrt(weights), from the Gram matrix of W on its smaller side:
+    logdet(I + c W W^T) = logdet(I + c W^T W). Weights that the membership
+    tolerance lets fall below 0 count as 0."""
+    W = Z * np.sqrt(np.maximum(weights, 0.0))
+    G = W.T @ W if W.shape[1] < W.shape[0] else W @ W.T
+    return 0.5 * logdet_spd(np.eye(len(G)) + scale * G)
 
 
 def coding_rate(Z: np.ndarray, eps: float) -> float:
@@ -143,7 +138,7 @@ def coding_rate(Z: np.ndarray, eps: float) -> float:
     Z = _check_features(Z)
     check_eps(eps)
     n, m = Z.shape
-    return _rate_from_scatter(n / (m * eps**2), Z, None)
+    return _rate_from_scatter(n / (m * eps**2), Z)
 
 
 def coding_rate_partitioned(Z: np.ndarray, Pi: Membership, eps: float) -> float:
@@ -172,22 +167,16 @@ def rate_reduction(Z: np.ndarray, Pi: Membership, eps: float) -> tuple[float, fl
     return R, Rc, R - Rc
 
 
-def _spd_inverse(A: np.ndarray) -> np.ndarray:
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("operator argument lost positive definiteness") from exc
-    inv_L = np.linalg.inv(L)
-    return inv_L.conj().T @ inv_L
+def _operator(a: float, Z: np.ndarray, weights=1.0) -> np.ndarray:
+    """a * (I + a Z diag(weights) Z^T)^-1, symmetrised, from one Cholesky factor."""
+    inv_L = np.linalg.inv(_cholesky(np.eye(len(Z)) + a * ((Z * weights) @ Z.T)))
+    M = a * (inv_L.T @ inv_L)
+    return 0.5 * (M + M.T)
 
 
 def expansion_operator(Z: np.ndarray, params: RateParams) -> np.ndarray:
     """alpha * (I + alpha Z Z^T)^-1: symmetric PD, eigenvalues in (0, alpha]."""
-    Z = _check_features(Z)
-    n = Z.shape[0]
-    a = params.alpha
-    E = a * _spd_inverse(np.eye(n) + a * (Z @ Z.T))
-    return 0.5 * (E + E.T)
+    return _operator(params.alpha, _check_features(Z))
 
 
 def compression_operator(
@@ -197,10 +186,7 @@ def compression_operator(
     Z = _check_features(Z)
     if Pi.class_sizes[j] <= 0:
         raise EmptyClassError(f"class {j} has zero total membership")
-    n = Z.shape[0]
-    a = params.alpha_j[j]
-    C = a * _spd_inverse(np.eye(n) + a * ((Z * Pi.weights[j]) @ Z.T))
-    return 0.5 * (C + C.T)
+    return _operator(params.alpha_j[j], Z, Pi.weights[j])
 
 
 def rate_gradient(Z: np.ndarray, Pi: Membership, params: RateParams) -> np.ndarray:

@@ -6,6 +6,11 @@ operators are (doubly) block circulant, so after a unitary DFT along the
 signal axes they act frequency by frequency as small channel-space matrices.
 Construction therefore only ever inverts C x C blocks, one per frequency.
 
+Fourier convention: every transform here is numpy's with norm="ortho", the
+unitary DFT, except the circular convolutions (lifting included), which run
+through one real-input transform pair whose scalings cancel. Lifting kernels
+are drawn at extent K and zero-padded to the signal extent by that transform.
+
 Scaling convention: features are carried as unitary DFTs (Parseval holds, so
 spherical normalization can be done in either domain), while the eigenvalues
 of a circulant built from z are the UNSCALED DFT of z. The per-frequency
@@ -51,25 +56,21 @@ _KIND_AXES = {KIND_SHIFT1D: ("T",), KIND_TRANSLATE2D: ("H", "W")}
 
 def dft_1d(x: np.ndarray) -> np.ndarray:
     """Unitary DFT along the last axis (1/sqrt(T) scaling)."""
-    x = np.asarray(x)
-    return np.fft.fft(x, axis=-1) / np.sqrt(x.shape[-1])
+    return np.fft.fft(x, axis=-1, norm="ortho")
 
 
 def idft_1d(v: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`dft_1d`."""
-    v = np.asarray(v)
-    return np.fft.ifft(v, axis=-1) * np.sqrt(v.shape[-1])
+    return np.fft.ifft(v, axis=-1, norm="ortho")
 
 
 def dft_2d(x: np.ndarray) -> np.ndarray:
     """Unitary 2D DFT over the last two axes."""
-    x = np.asarray(x)
-    return np.fft.fft2(x, axes=(-2, -1)) / np.sqrt(x.shape[-2] * x.shape[-1])
+    return np.fft.fft2(x, axes=(-2, -1), norm="ortho")
 
 
 def idft_2d(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    return np.fft.ifft2(v, axes=(-2, -1)) * np.sqrt(v.shape[-2] * v.shape[-1])
+    return np.fft.ifft2(v, axes=(-2, -1), norm="ortho")
 
 
 def circulant(z: np.ndarray) -> np.ndarray:
@@ -81,20 +82,34 @@ def circulant(z: np.ndarray) -> np.ndarray:
     return z[idx]
 
 
+def _convolve(kernels: np.ndarray, x: np.ndarray, spec: str, nd: int) -> np.ndarray:
+    """Circular convolution of real arrays over the trailing ``nd`` axes,
+    whose extents are those of ``x``: the real-input spectra are combined by
+    ``einsum(spec, ...)``, so sums over other axes happen per frequency.
+    Kernels of a smaller extent are zero-padded by the transform."""
+    dims, axes = x.shape[-nd:], tuple(range(-nd, 0))
+    kf = np.fft.rfftn(kernels, s=dims, axes=axes)
+    xf = np.fft.rfftn(x, axes=axes)
+    return np.fft.irfftn(np.einsum(spec, kf, xf), s=dims, axes=axes)
+
+
+def _circular_convolve(kernel: np.ndarray, signal: np.ndarray, nd: int) -> np.ndarray:
+    kernel = np.asarray(kernel, dtype=float)
+    signal = np.asarray(signal, dtype=float)
+    if signal.ndim < nd or kernel.shape[-nd:] != signal.shape[-nd:]:
+        raise ShapeError(f"kernel extent {kernel.shape[-nd:]} differs from signal "
+                         f"extent {signal.shape[-nd:]}")
+    return _convolve(kernel, signal, "...,...->...", nd)
+
+
 def circular_convolve_1d(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """z conv x on the cyclic group of order T, via the FFT."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.real(np.fft.ifft(np.fft.fft(z) * np.fft.fft(x, axis=-1), axis=-1))
+    """z conv x on the cyclic group of order T, over the last axis of both."""
+    return _circular_convolve(z, x, 1)
 
 
 def circular_convolve_2d(kernel: np.ndarray, image: np.ndarray) -> np.ndarray:
     """2D circular convolution over the last two axes of ``image``."""
-    kernel = np.asarray(kernel, dtype=float)
-    image = np.asarray(image, dtype=float)
-    return np.real(
-        np.fft.ifft2(np.fft.fft2(kernel) * np.fft.fft2(image, axes=(-2, -1)), axes=(-2, -1))
-    )
+    return _circular_convolve(kernel, image, 2)
 
 
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -126,14 +141,9 @@ def lift_random_filters_1d(
     m, c_in, T = X.shape
     if K > T:
         raise DataError(f"kernel length {K} exceeds signal length {T}")
-    rng = np.random.default_rng(seed)
-    kernels = np.zeros((C, c_in, T))
-    kernels[:, :, :K] = rng.standard_normal((C, c_in, K))
-    # (C, c_in, T) x (m, c_in, T) -> (m, C, T), summing over input channels
-    kf = np.fft.fft(kernels, axis=-1)
-    xf = np.fft.fft(X, axis=-1)
-    out = np.real(np.fft.ifft(np.einsum("kct,mct->mkt", kf, xf), axis=-1))
-    return soft_threshold(out, tau)
+    kernels = np.random.default_rng(seed).standard_normal((C, c_in, K))
+    # (C, c_in) kernels x (m, c_in) signals -> (m, C), summing over input channels
+    return soft_threshold(_convolve(kernels, X, "kc...,mc...->mk...", 1), tau)
 
 
 def lift_random_filters_2d(
@@ -147,13 +157,8 @@ def lift_random_filters_2d(
     m, H, W = X.shape
     if K > H or K > W:
         raise DataError(f"kernel size {K} exceeds image extent {H}x{W}")
-    rng = np.random.default_rng(seed)
-    kernels = np.zeros((C, H, W))
-    kernels[:, :K, :K] = rng.standard_normal((C, K, K))
-    kf = np.fft.fft2(kernels)
-    xf = np.fft.fft2(X)
-    out = np.real(np.fft.ifft2(kf[None, :, :, :] * xf[:, None, :, :]))
-    return soft_threshold(out, tau)
+    kernels = np.random.default_rng(seed).standard_normal((C, 1, K, K))
+    return soft_threshold(_convolve(kernels, X[:, None], "kc...,mc...->mk...", 2), tau)
 
 
 # ---------------------------------------------------------------------------

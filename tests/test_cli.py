@@ -201,13 +201,14 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
 
 
-def test_invalid_per_class_exits_2(tmp_path):
+def test_invalid_per_class_exits_3(tmp_path):
     proc = run_cli(
         "gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", "0",
         "--sigma", "0.1", "--seed", "1",
         "--out-features", tmp_path / "f.rtf", "--out-labels", tmp_path / "l.rtf",
     )
-    assert proc.returncode == 2
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
 
 
 def test_missing_input_exits_3(tmp_path):

@@ -271,9 +271,9 @@ def _forward_cases(cmd, feats, nan_feats, model, wrong_model):
 
 CASES = {
     "gen-gaussians": [
-        ["gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", "2", "--sigma", sigma,
-         "--seed", "0", "--out-features", "out", "--out-labels", "out"]
-        for sigma in ("nan", "inf", "-1")
+        ["gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", per_class,
+         "--sigma", sigma, "--seed", "0", "--out-features", "out", "--out-labels", "out"]
+        for per_class, sigma in (("2", "nan"), ("2", "inf"), ("2", "-1"), ("0", "0.1"))
     ],
     "rate": [
         ["rate", "--features", "feats", "--labels", "labels", "--eps", "nan"],

@@ -189,13 +189,25 @@ def test_zero_width_tensor_round_trips(tmp_path):
     assert read_tensor(path).to_array().shape == (5, 0)
 
 
+# one layer and no classes: the gamma vector and the class blocks take no
+# bytes, and the expansion block is the identity (RNS1: 1 channel, T = 2)
+NO_CLASS = {
+    "rnm1": b"RNM1" + struct.pack("<4I3d", 1, 1, 3, 0, 0.5, 500.0, 0.5)
+    + np.eye(3).astype("<f8").tobytes(),
+    "rns1-1d": b"RNS1" + struct.pack("<IBI1I2I3d", 2, 1, 1, 2, 0, 1, 0.5, 500.0, 0.5)
+    + np.ones(2, dtype="<c16").tobytes(),
+}
+
+
 def test_model_with_empty_layer_blocks_is_rejected(valid, tmp_path):
     blob, _ = valid["rnm1"]
     path = tmp_path / "empty.rnm"
     # zero-dimensional features: a depth of up to 2**32 - 1 would need no bytes
-    path.write_bytes(blob[:8] + struct.pack("<3I", 3, 0, 2) + blob[20:60])
-    with pytest.raises(ShapeError):
-        load_model(path)
+    cases = [("rnm1", blob[:8] + struct.pack("<3I", 3, 0, 2) + blob[20:60]), *NO_CLASS.items()]
+    for name, data in cases:
+        path.write_bytes(data)
+        with pytest.raises(ShapeError):
+            LOADERS[name](path)
 
 
 def test_cli_exits_3_on_each_malformed_input(valid, tmp_path, capsys):
@@ -213,6 +225,16 @@ def test_cli_exits_3_on_each_malformed_input(valid, tmp_path, capsys):
     model.write_bytes(valid["rnm1"][0] + b"\x00")
     assert main(["forward", "--model", str(model), "--features", str(feats),
                  "--out", str(tmp_path / "out.rtf")]) == 3
+
+    # features that fit the no-class models: (3, 2) dense, (2, 1, 2) signals
+    for command, name, shape in (("forward", "rnm1", (3, 2)),
+                                 ("forward-inv1d", "rns1-1d", (2, 1, 2))):
+        fits = tmp_path / f"fits.{name}.rtf"
+        write_tensor(fits, Tensor.from_array(np.full(shape, 0.5)))
+        model = tmp_path / f"no_class.{name}"
+        model.write_bytes(NO_CLASS[name])
+        assert main([command, "--model", str(model), "--features", str(fits),
+                     "--out", str(tmp_path / "out.rtf")]) == 3
 
     idx = tmp_path / "short.idx"
     idx.write_bytes(valid["idx-images"][0][:-1])

@@ -77,10 +77,14 @@ def test_circulant_columns_are_shifts():
         np.testing.assert_array_equal(M[:, t], np.roll(z, t))
 
 
-def test_circulant_multiplication_is_circular_convolution():
+@pytest.mark.parametrize("T", [1, 2, 7, 8])
+def test_circulant_multiplication_is_circular_convolution(T):
     rng = np.random.default_rng(2)
-    z, x = rng.standard_normal((2, 7))
+    z, x = rng.standard_normal((2, T))
     np.testing.assert_allclose(circulant(z) @ x, circular_convolve_1d(z, x), atol=1e-12)
+    batch = rng.standard_normal((3, T))
+    np.testing.assert_allclose(batch @ circulant(z).T, circular_convolve_1d(z, batch),
+                               atol=1e-12)
 
 
 def test_circulant_eigenvalues_are_the_unscaled_dft():
@@ -95,17 +99,87 @@ def test_circulant_eigenvalues_are_the_unscaled_dft():
     np.testing.assert_allclose(D - np.diag(np.diag(D)), 0, atol=1e-10)
 
 
-def test_circular_convolve_2d_matches_direct_sum():
+@pytest.mark.parametrize("H, W", [(3, 3), (4, 4), (9, 7), (8, 6), (5, 2)])
+def test_circular_convolve_2d_matches_direct_sum(H, W):
     rng = np.random.default_rng(4)
-    kernel = rng.standard_normal((3, 3))
-    image = rng.standard_normal((3, 3))
-    direct = np.zeros((3, 3))
-    for h in range(3):
-        for w in range(3):
-            for a in range(3):
-                for b in range(3):
-                    direct[h, w] += kernel[a, b] * image[(h - a) % 3, (w - b) % 3]
+    kernel = rng.standard_normal((H, W))
+    image = rng.standard_normal((H, W))
+    direct = np.zeros((H, W))
+    for h in range(H):
+        for w in range(W):
+            for a in range(H):
+                for b in range(W):
+                    direct[h, w] += kernel[a, b] * image[(h - a) % H, (w - b) % W]
     np.testing.assert_allclose(circular_convolve_2d(kernel, image), direct, atol=1e-12)
+
+
+def test_circular_convolutions_reject_a_kernel_of_another_extent():
+    with pytest.raises(ShapeError):
+        circular_convolve_1d(np.ones(3), np.ones((2, 4)))
+    with pytest.raises(ShapeError):
+        circular_convolve_1d(np.ones(5), np.ones(4))
+    with pytest.raises(ShapeError):
+        circular_convolve_2d(np.ones((3, 3)), np.ones((2, 4, 4)))
+    with pytest.raises(ShapeError):
+        circular_convolve_2d(np.ones((4, 5)), np.ones((4, 4)))
+    with pytest.raises(ShapeError):
+        circular_convolve_2d(np.ones(4), np.ones(4))
+
+
+def _reference_lift(X, C, K, seed, tau, nd):
+    """The lifting by complex FFTs of kernels zero-padded to the signal extent,
+    kept to pin :func:`lift_random_filters_1d`/`_2d` to it."""
+    X = X[:, None] if X.ndim == 1 + nd else X
+    m, c_in, *dims = X.shape
+    kernels = np.zeros((C, c_in, *dims))
+    kernels[(..., *[slice(K)] * nd)] = np.random.default_rng(seed).standard_normal(
+        (C, c_in, *[K] * nd))
+    axes = tuple(range(-nd, 0))
+    kf = np.fft.fftn(kernels, axes=axes)
+    xf = np.fft.fftn(X, axes=axes)
+    out = np.real(np.fft.ifftn(np.einsum("kc...,mc...->mk...", kf, xf), axes=axes))
+    return soft_threshold(out, tau)
+
+
+@pytest.mark.parametrize("shape, K, tau", [
+    ((5, 11), 4, 0.0), ((5, 12), 12, 0.0), ((4, 3, 9), 3, 0.5), ((4, 3, 10), 1, 0.0),
+    ((3, 1, 1), 1, 0.2),
+])
+def test_lifting_1d_matches_the_complex_fft_reference(shape, K, tau):
+    X = np.random.default_rng(20).standard_normal(shape) * 10
+    out = lift_random_filters_1d(X, C=6, K=K, seed=7, tau=tau)
+    ref = _reference_lift(X, 6, K, 7, tau, 1)
+    assert out.shape == ref.shape
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape, K, tau", [
+    ((4, 9, 9), 3, 0.0), ((4, 8, 8), 8, 0.0), ((4, 9, 7), 7, 0.4), ((4, 8, 6), 3, 0.0),
+    ((3, 1, 1), 1, 0.0),
+])
+def test_lifting_2d_matches_the_complex_fft_reference(shape, K, tau):
+    X = np.random.default_rng(21).standard_normal(shape) * 10
+    out = lift_random_filters_2d(X, C=5, K=K, seed=8, tau=tau)
+    ref = _reference_lift(X, 5, K, 8, tau, 2)
+    assert out.shape == ref.shape
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_lifting_an_impulse_returns_the_seeded_kernels():
+    # the kernels are the seed's draw at extent K, zero-padded to the signal
+    kernels = np.random.default_rng(9).standard_normal((4, 2, 3))
+    impulse = np.zeros((2, 2, 7))
+    impulse[0, 0, 0] = impulse[1, 1, 0] = 1.0
+    out = lift_random_filters_1d(impulse, C=4, K=3, seed=9)
+    np.testing.assert_allclose(out[:, :, :3], kernels.transpose(1, 0, 2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out[:, :, 3:], 0.0, rtol=0, atol=1e-15)
+    kernels = np.random.default_rng(9).standard_normal((4, 1, 3, 3))
+    impulse = np.zeros((1, 6, 5))
+    impulse[0, 0, 0] = 1.0
+    out = lift_random_filters_2d(impulse, C=4, K=3, seed=9)
+    np.testing.assert_allclose(out[0, :, :3, :3], kernels[:, 0], rtol=0, atol=1e-15)
+    out[0, :, :3, :3] = 0.0
+    np.testing.assert_allclose(out, 0.0, rtol=0, atol=1e-15)
 
 
 def test_soft_threshold():
@@ -384,6 +458,8 @@ def test_lifting_threshold_sparsifies():
 def test_lifting_rejects_oversized_kernel():
     with pytest.raises(DataError):
         lift_random_filters_1d(np.zeros((2, 4)), C=2, K=5, seed=0)
+    with pytest.raises(DataError):
+        lift_random_filters_2d(np.zeros((2, 4, 6)), C=2, K=5, seed=0)
 
 
 @pytest.mark.parametrize("dim", ["1d", "2d"])
