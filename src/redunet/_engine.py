@@ -28,6 +28,10 @@ softmin membership read only its own column. :func:`step` therefore takes
 the update on blocks of samples, sized so that one block's (k, P, d, b)
 class products C_j V fit in STEP_BLOCK_BYTES. Construction and serving
 hold the batch, its update and one block, not k copies of the batch.
+Every scaling by a real factor in the update (the class weights gamma_j
+pihat_j, eta and the sample norms) runs on the float64 view of the stack,
+where complex entries are (re, im) pairs along the sample axis and the
+per-sample factors are repeated to match; a real stack is its own view.
 
 A layer is any object with ``gamma_j`` and ``blocks``, the pair (E, C) in
 stack layout: E broadcasts against (P, d, d) and C against (k, P, d, d).
@@ -54,11 +58,24 @@ def _herm(X: np.ndarray) -> np.ndarray:
     return Xt.conj() if np.iscomplexobj(Xt) else Xt
 
 
+def _real(X: np.ndarray) -> np.ndarray:
+    """X as float64: a complex (..., m) array reads as (..., 2m), its (re, im)
+    pairs along the last axis; a real array is itself."""
+    return X.view(np.float64)
+
+
+def _per_entry(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per-sample factors w (..., m) laid out along the last axis of
+    ``_real(X)``: each repeated for its (re, im) pair if X is complex, w
+    itself (no copy) if X is real."""
+    return np.repeat(w, 2, axis=-1) if np.iscomplexobj(X) else w
+
+
 def _sq_norms(X: np.ndarray, subscripts: str) -> np.ndarray:
     """Sums of |x|^2 by ``einsum(subscripts, X, X)``, whose last index is the
     sample. Complex entries are read as (re, im) pairs along that axis, so
     no temporary of the size of X is made."""
-    Xr = X.view(np.float64)
+    Xr = _real(X)
     s = np.einsum(subscripts, Xr, Xr)
     if np.iscomplexobj(X):
         s = s.reshape(*s.shape[:-1], -1, 2).sum(axis=-1)
@@ -150,18 +167,27 @@ def membership(CV: np.ndarray, lam: float) -> np.ndarray:
 
 def increment(V: np.ndarray, E: np.ndarray, C: np.ndarray, gamma: np.ndarray,
               lam: float) -> np.ndarray:
-    """E V - sum_j gamma_j pihat_j C_j V with memberships from the softmin."""
+    """E V - sum_j gamma_j pihat_j C_j V with memberships from the softmin.
+    The class-weighted sum is one real einsum over the float64 views, the
+    per-sample weights repeated to the (re, im) pairs."""
     CV = C @ V
-    CV *= (gamma[:, None] * membership(CV, lam))[:, None, None, :]
-    return E @ V - CV.sum(axis=0)
+    weights = _per_entry(gamma[:, None] * membership(CV, lam), CV)
+    dV = E @ V
+    dVr = _real(dV)
+    dVr -= np.einsum("jpax,jx->pax", _real(CV), weights)
+    return dV
 
 
 def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
     """One layer: V + eta * increment, renormalized to unit sample norm.
 
     The update is taken on blocks of b samples, b the most (at least one)
-    whose (k, P, d, b) class products fit in STEP_BLOCK_BYTES, and renormalized
-    in place. A batch that fits one block, m * k * P * d * itemsize <=
+    whose (k, P, d, b) class products fit in STEP_BLOCK_BYTES. Per block it
+    makes C_j V and E V, weights and sums the class products, scales by eta
+    and adds V into the output; then one pass finds the sample norms and one
+    divides by them. Every scaling by a real factor (weights, eta, norms) runs
+    on the float64 views, so a complex stack is never multiplied or divided
+    as complex. A batch that fits one block, m * k * P * d * itemsize <=
     STEP_BLOCK_BYTES, gets the values of the unblocked update bit for bit: the
     same operations run on the same operands. A zero or non-finite norm raises
     NumericError, so callers silence numpy's warnings."""
@@ -172,13 +198,14 @@ def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
     out = np.empty(V.shape, np.result_type(V, E, C))
     for start in range(0, m, b):
         cols = np.s_[..., start:start + b]
-        dV = increment(V[cols], E, C, layer.gamma_j, lam)
-        dV *= eta
-        np.add(V[cols], dV, out=out[cols])
+        dVr = _real(increment(V[cols], E, C, layer.gamma_j, lam))
+        dVr *= eta
+        np.add(_real(V[cols]), dVr, out=_real(out[cols]))
     norms = np.sqrt(_sq_norms(out, "pax,pax->x"))
     if not np.all((norms > 0) & (norms < np.inf)):
         raise NumericError("a sample collapsed to zero or became non-finite during the update")
-    out /= norms
+    outr = _real(out)
+    outr /= _per_entry(norms, out)
     return out
 
 

@@ -123,6 +123,11 @@ def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
 # Random-filter lifting
 
 
+def _check_filters(C: int, K: int) -> None:
+    if C < 1 or K < 1:
+        raise DataError(f"need C >= 1 channels and kernel size K >= 1, got C={C} and K={K}")
+
+
 def lift_random_filters_1d(
     X: np.ndarray, C: int, K: int, seed: int, tau: float = 0.0
 ) -> np.ndarray:
@@ -133,6 +138,7 @@ def lift_random_filters_1d(
     ``X`` may be (m, T) single-channel or (m, C_in, T) multi-channel; in the
     latter case each output channel sums the responses over input channels.
     """
+    _check_filters(C, K)
     X = np.asarray(X, dtype=float)
     if X.ndim == 2:
         X = X[:, None, :]
@@ -151,6 +157,7 @@ def lift_random_filters_2d(
 ) -> np.ndarray:
     """2D analog of :func:`lift_random_filters_1d` for (m, H, W) images,
     with K x K kernels; returns (m, C, H, W)."""
+    _check_filters(C, K)
     X = np.asarray(X, dtype=float)
     if X.ndim != 3:
         raise ShapeError("expected (m, H, W) input")
@@ -263,18 +270,25 @@ def _to_spectral(Zbar: np.ndarray) -> np.ndarray:
     half = _HalfSpectrum.of(tuple(dims))
     V = np.fft.rfftn(Zbar, axes=range(2, Zbar.ndim), norm="ortho").reshape(m, C, -1).T
     V = np.ascontiguousarray(V[half.keep])
-    V *= np.sqrt(half.w)[:, None, None]
+    Vr = _engine._real(V)
+    Vr *= np.sqrt(half.w)[:, None, None]
     V.imag[half.real] = 0.0
     return V
 
 
 def _from_spectral(V: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`_to_spectral`: (P, C, m) -> (m, C, *dims) real."""
+    """Inverse of :func:`_to_spectral`: (P, C, m) -> (m, C, *dims) real.
+    The grid is filled, then divided in place by sqrt(w) of each entry's
+    representative (the dropped entries' partners all have w = 2)."""
     P, C, m = V.shape
     half = _HalfSpectrum.of(dims)
     grid = np.empty((math.prod(half.shape), C, m), dtype=complex)
-    grid[half.keep] = V / np.sqrt(half.w)[:, None, None]
+    grid[half.keep] = V
     grid[half.dropped] = grid[half.partner].conj()
+    sqrt_w = np.full(len(grid), math.sqrt(2.0))
+    sqrt_w[half.keep] = np.sqrt(half.w)
+    grid_r = _engine._real(grid)
+    grid_r /= sqrt_w[:, None, None]
     grid = grid.T.reshape(m, C, *half.shape)
     return np.fft.irfftn(grid, s=dims, axes=range(2, grid.ndim), norm="ortho")
 

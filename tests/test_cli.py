@@ -296,6 +296,19 @@ def test_lift1d_with_negative_tau_exits_3(tmp_path):
                  "--out", str(tmp_path / "out.rtf")]) == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--channels", "0"), ("--channels", "-2"),
+                                         ("--kernel-size", "0"), ("--kernel-size", "-3")])
+def test_lift1d_with_empty_or_negative_sizes_exits_3_and_writes_nothing(tmp_path, flag, value):
+    signals = tmp_path / "signals.rtf"
+    write_tensor(signals, Tensor.from_array(np.ones((3, 8))))
+    out = tmp_path / "out.rtf"
+    argv = ["lift1d", "--features", str(signals), "--channels", "2", "--kernel-size", "3",
+            "--seed", "0", "--out", str(out)]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 3
+    assert not out.exists()
+
+
 def test_output_into_a_missing_directory_exits_3(tmp_path):
     assert main([
         "gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", "5",

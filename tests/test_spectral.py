@@ -197,6 +197,14 @@ def test_negative_threshold_is_rejected():
         lift_random_filters_2d(np.ones((2, 4, 4)), C=2, K=3, seed=0, tau=-1.0)
 
 
+@pytest.mark.parametrize("C, K", [(0, 3), (-1, 3), (2, 0), (2, -2)])
+def test_lifting_rejects_empty_or_negative_sizes(C, K):
+    with pytest.raises(DataError):
+        lift_random_filters_1d(np.ones((2, 8)), C=C, K=K, seed=0)
+    with pytest.raises(DataError):
+        lift_random_filters_2d(np.ones((2, 4, 4)), C=C, K=K, seed=0)
+
+
 def test_spectral_rate_matches_circulant_family_rate():
     Z, labels, Pi = _samples_1d()
     T = Z.shape[2]
@@ -210,21 +218,28 @@ def test_spectral_rate_matches_circulant_family_rate():
     assert dR == pytest.approx(dR_big / T, abs=1e-10)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_shift_invariant_construction_matches_circulant_oracle(depth):
+def _oracle_cases(depths):
+    """(depth, lam) pairs: lam = 500 makes the softmin one-hot and keeps the
+    bare depth as its id; 5 and 0 weight every class product."""
+    return [pytest.param(depth, lam, id=str(depth) if lam == 500 else f"{depth}-lam{lam:g}")
+            for depth in depths for lam in (500.0, 5.0, 0.0)]
+
+
+@pytest.mark.parametrize("depth, lam", _oracle_cases([1, 2, 3]))
+def test_shift_invariant_construction_matches_circulant_oracle(depth, lam):
     Z, labels, Pi = _samples_1d()
-    ref = reference_construct(Z, labels, depth, eta=0.5, eps=0.1, lam=500.0,
+    ref = reference_construct(Z, labels, depth, eta=0.5, eps=0.1, lam=lam,
                               family=family_1d)
-    _, Z_out, _ = construct_inv1d(Z, Pi, L=depth, eta=0.5, eps=0.1)
+    _, Z_out, _ = construct_inv1d(Z, Pi, L=depth, eta=0.5, eps=0.1, lam=lam)
     np.testing.assert_allclose(Z_out, ref[-1], atol=1e-8)
 
 
-@pytest.mark.parametrize("depth", [1, 3])
-def test_translation_invariant_construction_matches_circulant_oracle(depth):
+@pytest.mark.parametrize("depth, lam", _oracle_cases([1, 3]))
+def test_translation_invariant_construction_matches_circulant_oracle(depth, lam):
     Z, labels, Pi = _samples_2d()
-    ref = reference_construct(Z, labels, depth, eta=0.5, eps=0.1, lam=500.0,
+    ref = reference_construct(Z, labels, depth, eta=0.5, eps=0.1, lam=lam,
                               family=family_2d)
-    _, Z_out, _ = construct_inv2d(Z, Pi, L=depth, eta=0.5, eps=0.1)
+    _, Z_out, _ = construct_inv2d(Z, Pi, L=depth, eta=0.5, eps=0.1, lam=lam)
     np.testing.assert_allclose(Z_out, ref[-1], atol=1e-8)
 
 
@@ -283,26 +298,30 @@ def _count_block_widths(monkeypatch):
 
 
 def test_sample_blocks_match_one_block(monkeypatch):
-    Z1, _, Pi1 = _samples_1d(seed=21, m=11, C=3, T=8, k=3)
-    Z2, _, Pi2 = _samples_2d(seed=22, m=11, C=2, H=5, W=6, k=3)
-    model1, out1, curve1 = construct_inv1d(Z1, Pi1, L=3, eta=0.5, eps=0.5)
-    model2, _, _ = construct_inv2d(Z2, Pi2, L=2, eta=0.5, eps=0.5)
-    Z2_new, _, _ = _samples_2d(seed=23, m=11, C=2, H=5, W=6)
-    fwd2 = forward_inv2d(model2, Z2_new)
+    # lam = 500 makes the softmin one-hot; at 5 every class product is weighted
+    for lam in (500.0, 5.0):
+        Z1, _, Pi1 = _samples_1d(seed=21, m=11, C=3, T=8, k=3)
+        Z2, _, Pi2 = _samples_2d(seed=22, m=11, C=2, H=5, W=6, k=3)
+        model1, out1, curve1 = construct_inv1d(Z1, Pi1, L=3, eta=0.5, eps=0.5, lam=lam)
+        model2, _, _ = construct_inv2d(Z2, Pi2, L=2, eta=0.5, eps=0.5, lam=lam)
+        Z2_new, _, _ = _samples_2d(seed=23, m=11, C=2, H=5, W=6)
+        fwd2 = forward_inv2d(model2, Z2_new)
 
-    widths = _count_block_widths(monkeypatch)
-    monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model1, 4))
-    blocked1, blocked_out1, blocked_curve1 = construct_inv1d(Z1, Pi1, L=3, eta=0.5, eps=0.5)
-    assert widths == [4, 4, 3] * 3
-    np.testing.assert_allclose(blocked_curve1.values, curve1.values, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(blocked_out1, out1, rtol=0, atol=1e-12)
-    for a, b in zip(blocked1.layers, model1.layers):
-        np.testing.assert_allclose(a.C_hat, b.C_hat, rtol=0, atol=1e-12)
+        with monkeypatch.context() as patch:
+            widths = _count_block_widths(patch)
+            patch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model1, 4))
+            blocked1, blocked_out1, blocked_curve1 = construct_inv1d(
+                Z1, Pi1, L=3, eta=0.5, eps=0.5, lam=lam)
+            assert widths == [4, 4, 3] * 3
+            np.testing.assert_allclose(blocked_curve1.values, curve1.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(blocked_out1, out1, rtol=0, atol=1e-12)
+            for a, b in zip(blocked1.layers, model1.layers):
+                np.testing.assert_allclose(a.C_hat, b.C_hat, rtol=0, atol=1e-12)
 
-    widths.clear()
-    monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model2, 4))
-    np.testing.assert_allclose(forward_inv2d(model2, Z2_new), fwd2, rtol=0, atol=1e-12)
-    assert widths == [4, 4, 3] * 2
+            widths.clear()
+            patch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model2, 4))
+            np.testing.assert_allclose(forward_inv2d(model2, Z2_new), fwd2, rtol=0, atol=1e-12)
+            assert widths == [4, 4, 3] * 2
 
 
 def test_forward_of_a_batch_is_the_forward_of_its_halves(monkeypatch):
