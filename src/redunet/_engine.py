@@ -183,11 +183,12 @@ def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
 
     The update is taken on blocks of b samples, b the most (at least one)
     whose (k, P, d, b) class products fit in STEP_BLOCK_BYTES. Per block it
-    makes C_j V and E V, weights and sums the class products, scales by eta
-    and adds V into the output; then one pass finds the sample norms and one
-    divides by them. Every scaling by a real factor (weights, eta, norms) runs
-    on the float64 views, so a complex stack is never multiplied or divided
-    as complex. A batch that fits one block, m * k * P * d * itemsize <=
+    makes C_j V and E V, subtracts the weighted sum of the class products,
+    scales by eta and adds V into the output; then one pass finds the sample
+    norms and one divides by them. Every scaling by a real factor (weights,
+    eta, norms) runs on the float64 views, so a complex stack is never
+    multiplied or divided as complex; the sum V + eta * increment is a plain
+    add. A batch that fits one block, m * k * P * d * itemsize <=
     STEP_BLOCK_BYTES, gets the values of the unblocked update bit for bit: the
     same operations run on the same operands. A zero or non-finite norm raises
     NumericError, so callers silence numpy's warnings."""
@@ -198,9 +199,10 @@ def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
     out = np.empty(V.shape, np.result_type(V, E, C))
     for start in range(0, m, b):
         cols = np.s_[..., start:start + b]
-        dVr = _real(increment(V[cols], E, C, layer.gamma_j, lam))
+        dV = increment(V[cols], E, C, layer.gamma_j, lam)
+        dVr = _real(dV)
         dVr *= eta
-        np.add(_real(V[cols]), dVr, out=_real(out[cols]))
+        np.add(V[cols], dV, out=out[cols])
     norms = np.sqrt(_sq_norms(out, "pax,pax->x"))
     if not np.all((norms > 0) & (norms < np.inf)):
         raise NumericError("a sample collapsed to zero or became non-finite during the update")
