@@ -17,7 +17,9 @@ Per layer the whole-set matrix and the k class matrices
 
 are filled into one (1 + k, P, d, d) stack and Cholesky-factored once. The
 s-weighted log-diagonal of that factor gives the loss-curve entry, and its
-inverse gives the operators a_j A_j^-1 = a_j L^-H L^-1. The weights enter
+inverse gives the operators a_j A_j^-1 = a_j L^-H L^-1, built and scaled as
+one stack of the same shape: the expansion operator E is its row 0 and the
+compression operators C its rows 1..k, both views of it. The weights enter
 only there, in :func:`factor` and :func:`rates`: the update, the residual
 norms of the softmin and the renormalization are sums over the scaled
 stack and need no weights. :mod:`redunet.rate` is the readable per-matrix
@@ -35,7 +37,9 @@ per-sample factors are repeated to match; a real stack is its own view.
 
 A layer is any object with ``gamma_j`` and ``blocks``, the pair (E, C) in
 stack layout: E broadcasts against (P, d, d) and C against (k, P, d, d).
-The RNM1 and RNS1 containers store layers in that layout (:func:`write_layers`).
+The RNM1 and RNS1 containers store each layer as that one stack, E then
+C^1..C^k (:func:`write_layers`), and :func:`read_layers` reads it back as one
+array whose views are E and C.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V in step(); see t
 
 
 def _herm(X: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of the last two axes (a view for real input)."""
-    Xt = np.swapaxes(X, -1, -2)
-    return Xt.conj() if np.iscomplexobj(Xt) else Xt
+    """Conjugate transpose of the last two axes (a view for real input, whose
+    ``conj`` is the array itself)."""
+    return np.swapaxes(X, -1, -2).conj()
 
 
 def _real(X: np.ndarray) -> np.ndarray:
@@ -147,14 +151,12 @@ def rates(L: np.ndarray, share: np.ndarray, gamma: np.ndarray) -> tuple[float, f
 
 def operators(coef: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expansion (P, d, d) and compression (k, P, d, d) operators
-    a_j L^-H L^-1 from one inverse of the whole factor stack."""
+    a_j L^-H L^-1 from one inverse, one product and one scaling of the whole
+    factor stack; both are views of that (1 + k, P, d, d) stack."""
     Linv = np.linalg.inv(L)
-    Lh = _herm(Linv)
-    E = Lh[0] @ Linv[0]
-    E *= coef[0]
-    C = Lh[1:] @ Linv[1:]
-    C *= coef[1:, None, None, None]
-    return E, C
+    M = _herm(Linv) @ Linv
+    M *= coef[:, None, None, None]
+    return M[0], M[1:]
 
 
 def membership(CV: np.ndarray, lam: float) -> np.ndarray:
@@ -258,15 +260,16 @@ def write_layers(path, header: bytes, layers, dtype: str) -> None:
 
 def read_layers(r, dtype: str, L: int, k: int, P: int, d: int, make_layer) -> tuple:
     """Inverse of :func:`write_layers` from a ContainerReader positioned after
-    the header; the stream must end the file. Layers are made by
-    ``make_layer(E, C, gamma)``, as in :func:`construct`."""
+    the header; the stream must end the file. Each layer is read as one
+    (1 + k, P, d, d) stack and made by ``make_layer(E, C, gamma)`` from its
+    views, as in :func:`construct`."""
     if P * d == 0:
         raise ShapeError(f"{r.path}: a model needs nonempty layer blocks")
     if k < 1:
         raise ShapeError(f"{r.path}: a model needs at least one class")
     gamma = r.array("<f8", (k,))
     r.require(L * (1 + k) * P * d * d * np.dtype(dtype).itemsize)
-    layers = tuple(make_layer(r.array(dtype, (P, d, d)), r.array(dtype, (k, P, d, d)), gamma)
-                   for _ in range(L))
+    stacks = (r.array(dtype, (1 + k, P, d, d)) for _ in range(L))
+    layers = tuple(make_layer(M[0], M[1:], gamma) for M in stacks)
     r.end()
     return layers

@@ -6,7 +6,8 @@ metrics. Outputs are RTF1 tensors, RNM1/RNS1 models, and RFC-4180 CSV;
 each command also writes a JSON manifest next to its first output so runs
 can be reproduced.
 
-Exit codes: 0 success, 2 usage error, 3 malformed data or file I/O, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 malformed data, file I/O or an input
+too large for memory, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -170,11 +171,9 @@ def _cmd_lift1d(args) -> str:
 
 
 def _cmd_polar(args) -> str:
-    images = _load_features(args.images)
-    if images.ndim == 2:
-        images = images[None]
-    out = np.stack([polar_resample(img, args.gamma, args.radii) for img in images])
-    write_tensor(args.out, Tensor.from_array(out))
+    """A single H x W image is written as a stack of one."""
+    out = polar_resample(_load_features(args.images), args.gamma, args.radii)
+    write_tensor(args.out, Tensor.from_array(out.reshape(-1, *out.shape[-2:])))
     return args.out
 
 
@@ -386,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

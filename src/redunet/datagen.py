@@ -38,8 +38,13 @@ class SubspaceSpec:
     orthogonal: bool = True
 
 
-def _unit_rows(M: np.ndarray) -> np.ndarray:
-    return M / np.linalg.norm(M, axis=1, keepdims=True)
+def _labeled_unit_columns(blocks: list[np.ndarray]) -> tuple[np.ndarray, Membership]:
+    """The class blocks side by side, every column scaled to unit norm and
+    labeled by the block it came from."""
+    Z = np.concatenate(blocks, axis=1)
+    Z /= np.linalg.norm(Z, axis=0)
+    labels = np.repeat(np.arange(len(blocks)), [X.shape[1] for X in blocks])
+    return Z, Membership.from_labels(labels, k=len(blocks))
 
 
 def gen_gaussian_sphere(spec: GaussianMixtureSpec) -> tuple[np.ndarray, Membership]:
@@ -51,21 +56,17 @@ def gen_gaussian_sphere(spec: GaussianMixtureSpec) -> tuple[np.ndarray, Membersh
         raise DataError("dimensions and counts must be positive")
     rng = np.random.default_rng(spec.seed)
     if spec.means is None:
-        means = _unit_rows(rng.standard_normal((spec.k, spec.n)))
+        means = rng.standard_normal((spec.k, spec.n))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
     else:
         means = np.asarray(spec.means, dtype=float)
         if means.shape != (spec.k, spec.n):
             raise ShapeError(f"means must be ({spec.k}, {spec.n}), got {means.shape}")
         if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):
             raise DataError("mixture means must be unit vectors")
-    cols = []
-    labels = []
-    for j in range(spec.k):
-        X = means[j][:, None] + spec.sigma * rng.standard_normal((spec.n, spec.m_per_class))
-        cols.append(X / np.linalg.norm(X, axis=0))
-        labels.append(np.full(spec.m_per_class, j))
-    Z = np.concatenate(cols, axis=1)
-    return Z, Membership.from_labels(np.concatenate(labels), k=spec.k)
+    return _labeled_unit_columns(
+        [mean[:, None] + spec.sigma * rng.standard_normal((spec.n, spec.m_per_class))
+         for mean in means])
 
 
 def gen_orthogonal_subspaces(spec: SubspaceSpec) -> tuple[np.ndarray, Membership]:
@@ -86,36 +87,28 @@ def gen_orthogonal_subspaces(spec: SubspaceSpec) -> tuple[np.ndarray, Membership
     rng = np.random.default_rng(spec.seed)
     if spec.orthogonal:
         Q, _ = np.linalg.qr(rng.standard_normal((n, k * d)))
-        bases = [Q[:, j * d : (j + 1) * d] for j in range(k)]
+        bases = np.split(Q, k, axis=1)
     else:
-        bases = []
-        for _ in range(k):
-            Q, _ = np.linalg.qr(rng.standard_normal((n, d)))
-            bases.append(Q)
-    cols = []
-    labels = []
-    for j in range(k):
-        X = bases[j] @ rng.standard_normal((d, spec.m_per_class))
-        cols.append(X / np.linalg.norm(X, axis=0))
-        labels.append(np.full(spec.m_per_class, j))
-    Z = np.concatenate(cols, axis=1)
-    return Z, Membership.from_labels(np.concatenate(labels), k=k)
+        bases, _ = np.linalg.qr(rng.standard_normal((k, n, d)))
+    return _labeled_unit_columns([U @ rng.standard_normal((d, spec.m_per_class)) for U in bases])
 
 
 def polar_resample(image: np.ndarray, Gamma: int, C: int) -> np.ndarray:
-    """Resample an H x W image on a polar grid about its center.
+    """Resample an H x W image, or each image of an m x H x W stack, on a
+    polar grid about its center.
 
     Output row i holds the bilinear samples at radius r_i = (i+1)/C *
     min(H, W)/2 and angles l * 2*pi/Gamma, l = 0..Gamma-1, so a rotation of
     the underlying image by one angle step becomes a cyclic shift along the
-    row. Samples falling outside the image are zero.
+    row. Samples falling outside the image are zero. The grid is built once
+    per call; a stack gives the (m, C, Gamma) stack of the per-image results.
     """
     image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ShapeError("expected an H x W image")
+    if image.ndim not in (2, 3):
+        raise ShapeError("expected an H x W image or an m x H x W stack")
     if Gamma < 1 or C < 1:
         raise DataError("angle and radius counts must be positive")
-    H, W = image.shape
+    H, W = image.shape[-2:]
     cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
     radii = (np.arange(1, C + 1) / C) * (min(H, W) / 2.0)
     angles = np.arange(Gamma) * (2.0 * np.pi / Gamma)
@@ -129,8 +122,8 @@ def polar_resample(image: np.ndarray, Gamma: int, C: int) -> np.ndarray:
 
     def sample(yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
         inside = (yy >= 0) & (yy < H) & (xx >= 0) & (xx < W)
-        out = np.zeros_like(yy, dtype=float)
-        out[inside] = image[yy[inside], xx[inside]]
+        out = np.zeros(image.shape[:-2] + yy.shape)
+        out[..., inside] = image[..., yy[inside], xx[inside]]
         return out
 
     return (

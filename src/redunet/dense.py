@@ -72,6 +72,7 @@ def estimate_membership(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndar
 
 def layer_increment(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """E z - sum_j gamma_j pihat_j(z) C_j z for a single feature vector."""
+    _engine.check_step(lam=lam)
     V = np.reshape(z, (1, -1, 1))
     return _engine.increment(V, *layer.blocks, layer.gamma_j, lam).ravel()
 

@@ -29,6 +29,7 @@ from .errors import (
     UnknownDtypeError,
     VersionError,
 )
+from .rate import check_labels
 
 MAGIC = b"RTF1"
 
@@ -68,9 +69,13 @@ class Tensor:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Tensor":
+        """Integer arrays become uint32 (label) tensors, so their entries must
+        pass :func:`redunet.rate.check_labels`; every other array becomes a
+        real64 tensor."""
         arr = np.asarray(arr)
-        code = DTYPE_UINT32 if arr.dtype.kind in "ui" else DTYPE_REAL64
-        return cls(shape=tuple(arr.shape), data=arr, dtype=code)
+        if arr.dtype.kind in "ui":
+            return cls(shape=arr.shape, data=check_labels(arr), dtype=DTYPE_UINT32)
+        return cls(shape=arr.shape, data=arr)
 
     def to_array(self) -> np.ndarray:
         return self.data.reshape(self.shape)

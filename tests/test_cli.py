@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from redunet import Tensor, read_tensor, write_tensor
+from redunet import Tensor, polar_resample, read_tensor, write_tensor
+from redunet import cli
 from redunet.cli import main
 
 
@@ -139,6 +140,28 @@ def test_polar_command(tmp_path):
     assert main(["polar", "--images", str(imgs), "--gamma", "12",
                  "--radii", "5", "--out", str(out)]) == 0
     assert read_tensor(out).shape == (2, 5, 12)
+
+
+def test_polar_command_writes_a_single_image_as_a_stack_of_one(tmp_path):
+    img = np.random.default_rng(2).random((16, 16))
+    imgs, out = tmp_path / "img.rtf", tmp_path / "polar.rtf"
+    write_tensor(imgs, Tensor.from_array(img))
+    assert main(["polar", "--images", str(imgs), "--gamma", "12",
+                 "--radii", "5", "--out", str(out)]) == 0
+    np.testing.assert_array_equal(read_tensor(out).to_array(), polar_resample(img, 12, 5)[None])
+
+
+def test_input_too_large_for_memory_exits_3_without_a_manifest(tmp_path, monkeypatch, capsys):
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "gen_gaussian_sphere", out_of_memory)
+    feats = tmp_path / "feats.rtf"
+    assert main(["gen-gaussians", "--dims", "100000000000", "--classes", "1",
+                 "--per-class", "1", "--sigma", "0.1", "--seed", "0",
+                 "--out-features", str(feats), "--out-labels", str(tmp_path / "l.rtf")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nsc_fit_predict_reports_accuracy(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from redunet import (
     DataError,
     GaussianMixtureSpec,
+    ShapeError,
     SubspaceSpec,
     augment_shifts,
     gen_gaussian_sphere,
@@ -139,6 +140,18 @@ def test_polar_resample_rotation_becomes_cyclic_shift():
     np.testing.assert_allclose(
         out1[:-1], np.roll(out0, 1, axis=1)[:-1], atol=1e-9
     )
+
+
+def test_polar_resample_of_a_stack_equals_the_per_image_results():
+    images = np.random.default_rng(4).random((5, 11, 14))
+    np.testing.assert_array_equal(
+        polar_resample(images, 9, 4), np.stack([polar_resample(img, 9, 4) for img in images]))
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3, 7, 7)])
+def test_polar_resample_rejects_other_ranks(shape):
+    with pytest.raises(ShapeError):
+        polar_resample(np.zeros(shape), 8, 3)
 
 
 def test_translate2d_identity_and_wrap():

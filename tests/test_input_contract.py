@@ -28,6 +28,7 @@ from redunet import (
     forward,
     forward_inv1d,
     gen_gaussian_sphere,
+    layer_increment,
     normalize_samples_time,
     predict_nsc,
     rate_reduction,
@@ -122,8 +123,10 @@ def test_rate_rejects_eps_outside_zero_to_infinity(eps):
 def test_estimate_membership_rejects_a_nan_lambda():
     Z, y = _dense_problem()
     model, _, _ = construct(Z, Membership.from_labels(y), L=1, eta=0.5, eps=0.5)
-    with pytest.raises(DataError):
-        estimate_membership(Z[:, 0], model.layers[0], NAN)
+    for fn in (estimate_membership, layer_increment):
+        for lam in (NAN, -1.0, np.inf):
+            with pytest.raises(DataError):
+                fn(Z[:, 0], model.layers[0], lam)
 
 
 def test_partitioned_rate_on_a_sample_count_mismatch_is_a_shape_error():

@@ -8,6 +8,7 @@ import pytest
 
 from redunet import (
     BadMagicError,
+    DataError,
     ShapeError,
     Tensor,
     TruncatedFileError,
@@ -38,6 +39,12 @@ def test_label_round_trip(tmp_path):
     back = read_tensor(path)
     assert back.dtype == DTYPE_UINT32
     np.testing.assert_array_equal(back.to_array(), labels)
+
+
+@pytest.mark.parametrize("values", [[-1, 3], [2**32 + 5, 1]])
+def test_integers_outside_uint32_are_rejected_not_wrapped(values):
+    with pytest.raises(DataError):
+        Tensor.from_array(np.array(values, dtype=np.int64))
 
 
 def test_round_trip_is_byte_stable(tmp_path):
