@@ -16,6 +16,9 @@ Per layer the whole-set matrix and the k class matrices
     A_j(p) = I + (a_j / s_p) V(p) W_j V(p)^H      (W_0 = I, W_j = diag(Pi_j))
 
 are filled into one (1 + k, P, d, d) stack and Cholesky-factored once. The
+coefficients a_0 = alpha, a_j = alpha_j and the class shares gamma_j come
+from :class:`redunet.rate.RateParams`, computed once per construction; an
+empty class gets a_j = 0, so its block is the identity. The
 s-weighted log-diagonal of that factor gives the loss-curve entry, and its
 inverse gives the operators a_j A_j^-1 = a_j L^-H L^-1, built and scaled as
 one stack of the same shape: the expansion operator E is its row 0 and the
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .rate import Membership, check_eps
+from .rate import Membership, RateParams
 
 UNIT_NORM_TOL = 1e-9
 STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V in step(); see there
@@ -116,17 +119,15 @@ def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
 
 
 def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
-           eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients a_j (a_0 for the whole set) and the Cholesky factors
-    of the (1 + k, P, d, d) stack for frequency shares ``share``. Empty classes
-    get a_j = 0, so their block is the identity and adds nothing to the rate."""
+           params: RateParams) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients a_j and the Cholesky factors of the (1 + k, P, d, d)
+    stack for frequency shares ``share``: a_0 = alpha and a_j = alpha_j from
+    ``params``, except that empty classes get a_j = 0, so their block is the
+    identity and adds nothing to the rate."""
     P, d, m = V.shape
     if Pi.m != m:
         raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
-    check_eps(eps)
-    sizes = np.concatenate(([m], Pi.class_sizes))
-    with np.errstate(divide="ignore"):
-        coef = np.where(sizes > 0, d / (sizes * eps**2), 0.0)
+    coef = np.concatenate(([params.alpha], np.where(params.gamma_j > 0, params.alpha_j, 0.0)))
     Vh = _herm(V)
     A = np.empty((1 + Pi.k, P, d, d), dtype=V.dtype)
     np.matmul(V, Vh, out=A[0])
@@ -229,13 +230,13 @@ def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: flo
         raise DataError("every sample must have unit norm")
     if not np.all(Pi.class_sizes > 0):
         raise DataError("every class must have nonzero total membership")
-    gamma = Pi.class_sizes / Pi.m
+    params = RateParams.compute(V.shape[1], Pi, eps)
     layers, curve = [], np.empty((L, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(L):
-            coef, Lf = factor(V, share, Pi, eps)
-            curve[i] = rates(Lf, share, gamma)
-            layers.append(make_layer(*operators(coef, Lf), gamma))
+            coef, Lf = factor(V, share, Pi, params)
+            curve[i] = rates(Lf, share, params.gamma_j)
+            layers.append(make_layer(*operators(coef, Lf), params.gamma_j))
             V = step(V, layers[-1], eta, lam)
     return layers, V, LossCurve(curve)
 
@@ -263,10 +264,8 @@ def read_layers(r, dtype: str, L: int, k: int, P: int, d: int, make_layer) -> tu
     the header; the stream must end the file. Each layer is read as one
     (1 + k, P, d, d) stack and made by ``make_layer(E, C, gamma)`` from its
     views, as in :func:`construct`."""
-    if P * d == 0:
-        raise ShapeError(f"{r.path}: a model needs nonempty layer blocks")
-    if k < 1:
-        raise ShapeError(f"{r.path}: a model needs at least one class")
+    if L < 1 or k < 1 or P * d == 0:
+        raise ShapeError(f"{r.path}: a model needs a layer, a class and nonempty layer blocks")
     gamma = r.array("<f8", (k,))
     r.require(L * (1 + k) * P * d * d * np.dtype(dtype).itemsize)
     stacks = (r.array(dtype, (1 + k, P, d, d)) for _ in range(L))

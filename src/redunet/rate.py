@@ -79,7 +79,10 @@ class Membership:
 
 @dataclass(frozen=True)
 class RateParams:
-    """Precision and the derived per-class coefficients."""
+    """The coefficients of the rates at precision eps, for n-dimensional
+    features: alpha = n / (m eps^2) for the whole set, and for class j
+    alpha_j = n / (tr(Pi_j) eps^2) (inf if the class is empty) and its share
+    gamma_j = tr(Pi_j) / m. Every rate and operator takes them from here."""
 
     eps: float
     alpha: float
@@ -90,6 +93,8 @@ class RateParams:
     def compute(cls, n: int, Pi: Membership, eps: float) -> "RateParams":
         check_eps(eps)
         m = Pi.m
+        if m == 0:
+            raise ShapeError("membership covers no samples")
         sizes = Pi.class_sizes
         with np.errstate(divide="ignore"):
             alpha_j = np.where(sizes > 0, n / (sizes * eps**2), np.inf)
@@ -145,18 +150,13 @@ def coding_rate_partitioned(Z: np.ndarray, Pi: Membership, eps: float) -> float:
     """Membership-weighted sum of per-class coding rates. Empty classes
     contribute zero."""
     Z = _check_features(Z)
-    check_eps(eps)
-    n, m = Z.shape
-    if Pi.m != m:
-        raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
+    params = RateParams.compute(len(Z), Pi, eps)
+    if Pi.m != Z.shape[1]:
+        raise ShapeError(f"membership covers {Pi.m} samples, features have {Z.shape[1]}")
     total = 0.0
-    sizes = Pi.class_sizes
-    for j in range(Pi.k):
-        mj = sizes[j]
-        if mj <= 0:
-            continue
-        rate = _rate_from_scatter(n / (mj * eps**2), Z, Pi.weights[j])
-        total += (mj / m) * rate
+    for a_j, g_j, pi_j in zip(params.alpha_j, params.gamma_j, Pi.weights):
+        if g_j > 0:
+            total += g_j * _rate_from_scatter(a_j, Z, pi_j)
     return total
 
 
@@ -195,7 +195,7 @@ def rate_gradient(Z: np.ndarray, Pi: Membership, params: RateParams) -> np.ndarr
     Z = _check_features(Z)
     grad = expansion_operator(Z, params) @ Z
     for j in range(Pi.k):
-        if Pi.class_sizes[j] <= 0:
+        if params.gamma_j[j] <= 0:
             continue
         Cj = compression_operator(Z, Pi, j, params)
         grad -= params.gamma_j[j] * (Cj @ (Z * Pi.weights[j]))

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _engine
 from .errors import BadMagicError, DataError, FormatError, NumericError, ShapeError
-from .rate import Membership
+from .rate import Membership, RateParams
 from .tensorio import ContainerReader
 
 INV_MAGIC = b"RNS1"
@@ -123,9 +123,16 @@ def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
 # Random-filter lifting
 
 
-def _check_filters(C: int, K: int) -> None:
-    if C < 1 or K < 1:
-        raise DataError(f"need C >= 1 channels and kernel size K >= 1, got C={C} and K={K}")
+def _lift(X: np.ndarray, C: int, K: int, seed: int, tau: float, nd: int) -> np.ndarray:
+    """(m, C_in, *dims) signals lifted to (m, C, *dims): circular convolution
+    with seeded standard-normal (C, C_in) + (K,) * nd kernels, zero-padded to
+    ``dims``, each output channel summing the responses over the input
+    channels; then a soft threshold at ``tau``."""
+    dims = X.shape[2:]
+    if C < 1 or K < 1 or K > min(dims):
+        raise DataError(f"need C >= 1 and 1 <= K <= {min(dims)}, got C={C} and K={K}")
+    kernels = np.random.default_rng(seed).standard_normal((C, X.shape[1]) + (K,) * nd)
+    return soft_threshold(_convolve(kernels, X, "kc...,mc...->mk...", nd), tau)
 
 
 def lift_random_filters_1d(
@@ -138,18 +145,12 @@ def lift_random_filters_1d(
     ``X`` may be (m, T) single-channel or (m, C_in, T) multi-channel; in the
     latter case each output channel sums the responses over input channels.
     """
-    _check_filters(C, K)
     X = np.asarray(X, dtype=float)
     if X.ndim == 2:
         X = X[:, None, :]
     if X.ndim != 3:
         raise ShapeError("expected (m, T) or (m, C_in, T) input")
-    m, c_in, T = X.shape
-    if K > T:
-        raise DataError(f"kernel length {K} exceeds signal length {T}")
-    kernels = np.random.default_rng(seed).standard_normal((C, c_in, K))
-    # (C, c_in) kernels x (m, c_in) signals -> (m, C), summing over input channels
-    return soft_threshold(_convolve(kernels, X, "kc...,mc...->mk...", 1), tau)
+    return _lift(X, C, K, seed, tau, 1)
 
 
 def lift_random_filters_2d(
@@ -157,15 +158,10 @@ def lift_random_filters_2d(
 ) -> np.ndarray:
     """2D analog of :func:`lift_random_filters_1d` for (m, H, W) images,
     with K x K kernels; returns (m, C, H, W)."""
-    _check_filters(C, K)
     X = np.asarray(X, dtype=float)
     if X.ndim != 3:
         raise ShapeError("expected (m, H, W) input")
-    m, H, W = X.shape
-    if K > H or K > W:
-        raise DataError(f"kernel size {K} exceeds image extent {H}x{W}")
-    kernels = np.random.default_rng(seed).standard_normal((C, 1, K, K))
-    return soft_threshold(_convolve(kernels, X[:, None], "kc...,mc...->mk...", 2), tau)
+    return _lift(X[:, None], C, K, seed, tau, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +205,9 @@ def spectral_rate_reduction(
     (P, C, m): the rates of the full shift family, divided by the number of
     copies it contains."""
     share = np.full(len(V), 1 / len(V))
-    _, L = _engine.factor(V, share, Pi, eps)
-    return _engine.rates(L, share, Pi.class_sizes / Pi.m)
+    params = RateParams.compute(V.shape[1], Pi, eps)
+    _, L = _engine.factor(V, share, Pi, params)
+    return _engine.rates(L, share, params.gamma_j)
 
 
 @dataclass(frozen=True)
@@ -307,8 +304,8 @@ def _construct_inv(
 ) -> tuple[InvariantModel, np.ndarray, _engine.LossCurve]:
     Zbar = np.asarray(Zbar, dtype=float)
     axes = _KIND_AXES[kind]
-    if Zbar.ndim != 2 + len(axes) or not all(Zbar.shape[1:]):
-        raise ShapeError(f"expected (m, C, {', '.join(axes)}) input with nonzero C and extents")
+    if Zbar.ndim != 2 + len(axes) or not all(Zbar.shape):
+        raise ShapeError(f"expected (m, C, {', '.join(axes)}) input with m, C and extents >= 1")
     layers, V, curve = _engine.construct(
         _to_spectral(Zbar), _HalfSpectrum.of(Zbar.shape[2:]).share, Pi, L, eta, eps, lam,
         SpectralLayer,
@@ -349,8 +346,9 @@ def _forward_inv(kind: str, model: InvariantModel, Zbar: np.ndarray) -> np.ndarr
     if model.kind != kind:
         raise ShapeError(f"model was built for {model.kind}, not {kind}")
     expected = (model.channels, *model.dims)
-    if Zbar.shape[1:] != expected:
-        raise ShapeError(f"expected (m, {', '.join(map(str, expected))}) input, got {Zbar.shape}")
+    if Zbar.shape[1:] != expected or not len(Zbar):
+        raise ShapeError(f"expected (m, {', '.join(map(str, expected))}) input with m >= 1, "
+                         f"got {Zbar.shape}")
     V = _engine.forward(_to_spectral(Zbar), model.layers, model.eta, model.lam)
     return _from_spectral(V, model.dims)
 
@@ -405,14 +403,14 @@ def load_invariant_model(path) -> InvariantModel:
         _engine.check_step(eta, lam)
         P = math.prod(dims) if r.version == 1 else _HalfSpectrum.size(dims)
         layers = _engine.read_layers(r, "<c16", L, k, P, channels, SpectralLayer)
-    if layers:  # the grid is built only once the file has shown it holds the layers
-        half = _HalfSpectrum.of(dims)
-        if r.version == 1:
-            full_index = np.ravel_multi_index(np.unravel_index(half.keep, half.shape), dims)
-            layers = tuple(_cut_v1_layer(layer, full_index, half.real) for layer in layers)
-        elif any(np.any(block[..., half.real, :, :].imag != 0)
-                 for layer in layers for block in layer.blocks):
-            raise FormatError(f"{path}: an operator at a self-conjugate frequency is not real")
+    # the grid is built only once the file has shown it holds the layers
+    half = _HalfSpectrum.of(dims)
+    if r.version == 1:
+        full_index = np.ravel_multi_index(np.unravel_index(half.keep, half.shape), dims)
+        layers = tuple(_cut_v1_layer(layer, full_index, half.real) for layer in layers)
+    elif any(np.any(block[..., half.real, :, :].imag != 0)
+             for layer in layers for block in layer.blocks):
+        raise FormatError(f"{path}: an operator at a self-conjugate frequency is not real")
     return InvariantModel(
         kind=kind,
         layers=layers,

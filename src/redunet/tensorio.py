@@ -47,7 +47,9 @@ IDX_MAGIC_IMAGES = 0x00000803
 
 @dataclass(frozen=True)
 class Tensor:
-    """Row-major dense tensor with 1 to 4 dimensions."""
+    """Row-major dense tensor with 1 to 4 dimensions. Data for a uint32
+    (label) tensor that is not already uint32 must pass
+    :func:`redunet.rate.check_labels`, so it is never wrapped or truncated."""
 
     shape: tuple[int, ...]
     data: np.ndarray
@@ -59,7 +61,10 @@ class Tensor:
         if self.dtype not in _NUMPY_DTYPES:
             raise UnknownDtypeError(f"unknown dtype code {self.dtype}")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        flat = np.ascontiguousarray(self.data, dtype=_NUMPY_DTYPES[self.dtype]).reshape(-1)
+        data = self.data
+        if self.dtype == DTYPE_UINT32 and np.asarray(data).dtype != np.uint32:
+            data = check_labels(data)
+        flat = np.ascontiguousarray(data, dtype=_NUMPY_DTYPES[self.dtype]).reshape(-1)
         expected = math.prod(self.shape)
         if flat.size != expected:
             raise ShapeError(
@@ -69,13 +74,11 @@ class Tensor:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Tensor":
-        """Integer arrays become uint32 (label) tensors, so their entries must
-        pass :func:`redunet.rate.check_labels`; every other array becomes a
+        """Integer arrays become uint32 (label) tensors, every other array a
         real64 tensor."""
         arr = np.asarray(arr)
-        if arr.dtype.kind in "ui":
-            return cls(shape=arr.shape, data=check_labels(arr), dtype=DTYPE_UINT32)
-        return cls(shape=arr.shape, data=arr)
+        return cls(shape=arr.shape, data=arr,
+                   dtype=DTYPE_UINT32 if arr.dtype.kind in "ui" else DTYPE_REAL64)
 
     def to_array(self) -> np.ndarray:
         return self.data.reshape(self.shape)

@@ -16,6 +16,7 @@ from redunet import (
     GaussianMixtureSpec,
     Membership,
     NumericError,
+    RateParams,
     ShapeError,
     Tensor,
     augment_shifts,
@@ -120,6 +121,16 @@ def test_rate_rejects_eps_outside_zero_to_infinity(eps):
         rate_reduction(Z, Membership.from_labels(y), eps)
 
 
+def test_a_membership_of_no_samples_is_a_shape_error():
+    Z, _ = _dense_problem()
+    empty = Membership.from_labels([])
+    for call in (lambda: RateParams.compute(3, empty, 0.5),
+                 lambda: coding_rate_partitioned(Z, empty, 0.5),
+                 lambda: construct(Z, empty, L=1, eta=0.5, eps=0.5)):
+        with pytest.raises(ShapeError):
+            call()
+
+
 def test_estimate_membership_rejects_a_nan_lambda():
     Z, y = _dense_problem()
     model, _, _ = construct(Z, Membership.from_labels(y), L=1, eta=0.5, eps=0.5)
@@ -207,8 +218,8 @@ def files(tmp_path_factory):
     arrays = {
         "feats": Z, "nan_feats": _with_nan(Z), "vec": Z[0], "cube": Z.reshape(3, 2, 3),
         "zero_col": np.hstack([Z[:, :5], np.zeros((3, 1))]),
-        "signals": X, "nan_signals": _with_nan(X),
-        "images": images, "nan_images": _with_nan(images),
+        "signals": X, "nan_signals": _with_nan(X), "empty_signals": X[:0],
+        "images": images, "nan_images": _with_nan(images), "empty_images": images[:0],
         "labels": y.astype(np.uint32), "short_labels": y[:-1].astype(np.uint32),
         "neg_labels": y - 1.0, "real_labels": y + 0.5,
         "huge_labels": np.array([0, 0, 0, 1, 1, 2**31], dtype=np.uint32),
@@ -241,7 +252,7 @@ def files(tmp_path_factory):
     return {name: str(path) for name, path in paths.items()}
 
 
-def _construct_cases(cmd, feats, nan_feats, wrong_rank):
+def _construct_cases(cmd, feats, nan_feats, wrong_rank, empty=None):
     good = ["--layers", "1", "--eta", "0.5", "--eps", "0.5"]
     cases = [
         (feats, "labels", ["--layers", "1", "--eta", "0.5", "--eps", "nan"]),
@@ -258,18 +269,18 @@ def _construct_cases(cmd, feats, nan_feats, wrong_rank):
         (feats, "neg_labels", good),
         (feats, "huge_labels", good),
         (feats, "short_labels", good),
-    ]
+    ] + ([(empty, "labels", good)] if empty else [])
     return [[cmd, "--features", f, "--labels", y, "--model-out", "out", *flags]
             for f, y, flags in cases]
 
 
-def _forward_cases(cmd, feats, nan_feats, model, wrong_model):
+def _forward_cases(cmd, feats, nan_feats, model, wrong_model, empty=None):
     return [
         [cmd, "--model", model, "--features", nan_feats, "--out", "out"],
         [cmd, "--model", f"neg_eta_{model}", "--features", feats, "--out", "out"],
         [cmd, "--model", wrong_model, "--features", feats, "--out", "out"],
         [cmd, "--model", model, "--features", "vec", "--out", "out"],
-    ]
+    ] + ([[cmd, "--model", model, "--features", empty, "--out", "out"]] if empty else [])
 
 
 CASES = {
@@ -290,12 +301,16 @@ CASES = {
         ["rate", "--features", "feats", "--labels", "huge_labels", "--eps", "0.5"],
     ],
     "construct": _construct_cases("construct", "feats", "nan_feats", "signals"),
-    "construct-inv1d": _construct_cases("construct-inv1d", "signals", "nan_signals", "images"),
-    "construct-inv2d": _construct_cases("construct-inv2d", "images", "nan_images", "signals"),
+    "construct-inv1d": _construct_cases("construct-inv1d", "signals", "nan_signals", "images",
+                                        "empty_signals"),
+    "construct-inv2d": _construct_cases("construct-inv2d", "images", "nan_images", "signals",
+                                        "empty_images"),
     "forward": _forward_cases("forward", "feats", "nan_feats", "rnm", "rns1")
     + [["forward", "--model", "rnm", "--features", "cube", "--out", "out"]],
-    "forward-inv1d": _forward_cases("forward-inv1d", "signals", "nan_signals", "rns1", "rns2"),
-    "forward-inv2d": _forward_cases("forward-inv2d", "images", "nan_images", "rns2", "rns1"),
+    "forward-inv1d": _forward_cases("forward-inv1d", "signals", "nan_signals", "rns1", "rns2",
+                                    "empty_signals"),
+    "forward-inv2d": _forward_cases("forward-inv2d", "images", "nan_images", "rns2", "rns1",
+                                    "empty_images"),
     "lift1d": [
         ["lift1d", "--features", "feats", "--channels", "2", "--kernel-size", "2", "--seed", "0",
          "--tau", tau, "--out", "out"] for tau in ("nan", "-1")

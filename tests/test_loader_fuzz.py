@@ -197,13 +197,21 @@ NO_CLASS = {
     "rns1-1d": b"RNS1" + struct.pack("<IBI1I2I3d", 2, 1, 1, 2, 0, 1, 0.5, 500.0, 0.5)
     + np.ones(2, dtype="<c16").tobytes(),
 }
+# depth 0 and two classes: only the gamma vector follows the header
+NO_LAYER = {
+    "rnm1": b"RNM1" + struct.pack("<4I3d", 1, 0, 3, 2, 0.5, 500.0, 0.5)
+    + np.full(2, 0.5).astype("<f8").tobytes(),
+    "rns1-1d": b"RNS1" + struct.pack("<IBI1I2I3d", 2, 1, 1, 2, 2, 0, 0.5, 500.0, 0.5)
+    + np.full(2, 0.5).astype("<f8").tobytes(),
+}
 
 
 def test_model_with_empty_layer_blocks_is_rejected(valid, tmp_path):
     blob, _ = valid["rnm1"]
     path = tmp_path / "empty.rnm"
     # zero-dimensional features: a depth of up to 2**32 - 1 would need no bytes
-    cases = [("rnm1", blob[:8] + struct.pack("<3I", 3, 0, 2) + blob[20:60]), *NO_CLASS.items()]
+    cases = [("rnm1", blob[:8] + struct.pack("<3I", 3, 0, 2) + blob[20:60]), *NO_CLASS.items(),
+             *NO_LAYER.items()]
     for name, data in cases:
         path.write_bytes(data)
         with pytest.raises(ShapeError):
@@ -226,15 +234,16 @@ def test_cli_exits_3_on_each_malformed_input(valid, tmp_path, capsys):
     assert main(["forward", "--model", str(model), "--features", str(feats),
                  "--out", str(tmp_path / "out.rtf")]) == 3
 
-    # features that fit the no-class models: (3, 2) dense, (2, 1, 2) signals
+    # features that fit the no-class and no-layer models: (3, 2) dense, (2, 1, 2) signals
     for command, name, shape in (("forward", "rnm1", (3, 2)),
                                  ("forward-inv1d", "rns1-1d", (2, 1, 2))):
         fits = tmp_path / f"fits.{name}.rtf"
         write_tensor(fits, Tensor.from_array(np.full(shape, 0.5)))
-        model = tmp_path / f"no_class.{name}"
-        model.write_bytes(NO_CLASS[name])
-        assert main([command, "--model", str(model), "--features", str(fits),
-                     "--out", str(tmp_path / "out.rtf")]) == 3
+        for kind, blobs in (("no_class", NO_CLASS), ("no_layer", NO_LAYER)):
+            model = tmp_path / f"{kind}.{name}"
+            model.write_bytes(blobs[name])
+            assert main([command, "--model", str(model), "--features", str(fits),
+                         "--out", str(tmp_path / "out.rtf")]) == 3, (kind, name)
 
     idx = tmp_path / "short.idx"
     idx.write_bytes(valid["idx-images"][0][:-1])

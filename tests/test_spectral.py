@@ -212,10 +212,14 @@ def test_spectral_rate_matches_circulant_family_rate():
     Pi_big = Membership.from_labels(np.repeat(labels, T), k=Pi.k)
     R_big, Rc_big, dR_big = rate_reduction(A, Pi_big, 0.1)
     # the public objective takes full (P, C, m) unitary spectra
-    R, Rc, dR = spectral_rate_reduction(np.transpose(dft_1d(Z), (2, 1, 0)), Pi, 0.1)
+    V = np.transpose(dft_1d(Z), (2, 1, 0))
+    R, Rc, dR = spectral_rate_reduction(V, Pi, 0.1)
     assert R == pytest.approx(R_big / T, abs=1e-10)
     assert Rc == pytest.approx(Rc_big / T, abs=1e-10)
     assert dR == pytest.approx(dR_big / T, abs=1e-10)
+    # an empty class gets an identity block, which adds nothing to the rates
+    padded = Membership(np.vstack([Pi.weights, np.zeros(Pi.m)]))
+    assert spectral_rate_reduction(V, padded, 0.1) == (R, Rc, dR)
 
 
 def _oracle_cases(depths):

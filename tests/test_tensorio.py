@@ -41,10 +41,17 @@ def test_label_round_trip(tmp_path):
     np.testing.assert_array_equal(back.to_array(), labels)
 
 
-@pytest.mark.parametrize("values", [[-1, 3], [2**32 + 5, 1]])
+@pytest.mark.parametrize("values", [[-1, 3], [2**32 + 5, 1], [2.7, 3e10]])
 def test_integers_outside_uint32_are_rejected_not_wrapped(values):
+    arr = np.array(values)
+    if arr.dtype.kind == "i":
+        with pytest.raises(DataError):
+            Tensor.from_array(arr)
+    # the constructor is checked too, so a label tensor is never wrapped or truncated
     with pytest.raises(DataError):
-        Tensor.from_array(np.array(values, dtype=np.int64))
+        Tensor(shape=arr.shape, data=arr, dtype=DTYPE_UINT32)
+    whole = Tensor(shape=(2,), data=np.array([3.0, 2**32 - 1]), dtype=DTYPE_UINT32)
+    assert whole.data.tolist() == [3, 2**32 - 1]
 
 
 def test_round_trip_is_byte_stable(tmp_path):
