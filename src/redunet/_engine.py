@@ -17,8 +17,8 @@ Per layer the whole-set matrix and the k class matrices
 
 are filled into one (1 + k, P, d, d) stack and Cholesky-factored once. The
 coefficients a_0 = alpha, a_j = alpha_j and the class shares gamma_j come
-from :class:`redunet.rate.RateParams`, computed once per construction; an
-empty class gets a_j = 0, so its block is the identity. The
+from :class:`redunet.rate.RateParams`, computed once per construction,
+where an empty class has alpha_j = 0, so its block is the identity. The
 s-weighted log-diagonal of that factor gives the loss-curve entry, and its
 inverse gives the operators a_j A_j^-1 = a_j L^-H L^-1, built and scaled as
 one stack of the same shape: the expansion operator E is its row 0 and the
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .rate import Membership, RateParams
+from .rate import Membership, RateParams, _cholesky
 
 UNIT_NORM_TOL = 1e-9
 STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V in step(); see there
@@ -122,12 +122,12 @@ def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
            params: RateParams) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients a_j and the Cholesky factors of the (1 + k, P, d, d)
     stack for frequency shares ``share``: a_0 = alpha and a_j = alpha_j from
-    ``params``, except that empty classes get a_j = 0, so their block is the
-    identity and adds nothing to the rate."""
+    ``params``, which is 0 for an empty class, so its block is the identity
+    and adds nothing to the rate."""
     P, d, m = V.shape
     if Pi.m != m:
         raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
-    coef = np.concatenate(([params.alpha], np.where(params.gamma_j > 0, params.alpha_j, 0.0)))
+    coef = np.concatenate(([params.alpha], params.alpha_j))
     Vh = _herm(V)
     A = np.empty((1 + Pi.k, P, d, d), dtype=V.dtype)
     np.matmul(V, Vh, out=A[0])
@@ -135,10 +135,7 @@ def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
         np.matmul(V * pi_j, Vh, out=A[j])
     A *= np.divide.outer(coef, share)[:, :, None, None]
     A += np.eye(d)
-    try:
-        return coef, np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("operator argument lost positive definiteness") from exc
+    return coef, _cholesky(A)
 
 
 def rates(L: np.ndarray, share: np.ndarray, gamma: np.ndarray) -> tuple[float, float, float]:
@@ -181,8 +178,8 @@ def increment(V: np.ndarray, E: np.ndarray, C: np.ndarray, gamma: np.ndarray,
     return dV
 
 
-def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
-    """One layer: V + eta * increment, renormalized to unit sample norm.
+def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray:
+    """Layer ``index``: V + eta * increment, renormalized to unit sample norm.
 
     The update is taken on blocks of b samples, b the most (at least one)
     whose (k, P, d, b) class products fit in STEP_BLOCK_BYTES. Per block it
@@ -194,7 +191,7 @@ def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
     add. A batch that fits one block, m * k * P * d * itemsize <=
     STEP_BLOCK_BYTES, gets the values of the unblocked update bit for bit: the
     same operations run on the same operands. A zero or non-finite norm raises
-    NumericError, so callers silence numpy's warnings."""
+    NumericError naming the layer, so callers silence numpy's warnings."""
     E, C = layer.blocks
     P, d, m = V.shape
     per_sample = len(layer.gamma_j) * P * d * np.result_type(V, C).itemsize
@@ -208,7 +205,8 @@ def step(V: np.ndarray, layer, eta: float, lam: float) -> np.ndarray:
         np.add(V[cols], dV, out=out[cols])
     norms = np.sqrt(_sq_norms(out, "pax,pax->x"))
     if not np.all((norms > 0) & (norms < np.inf)):
-        raise NumericError("a sample collapsed to zero or became non-finite during the update")
+        raise NumericError(f"layer {index}: a sample collapsed to zero or became non-finite "
+                           "during the update")
     outr = _real(out)
     outr /= _per_entry(norms, out)
     return out
@@ -237,14 +235,14 @@ def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: flo
             coef, Lf = factor(V, share, Pi, params)
             curve[i] = rates(Lf, share, params.gamma_j)
             layers.append(make_layer(*operators(coef, Lf), params.gamma_j))
-            V = step(V, layers[-1], eta, lam)
+            V = step(V, layers[-1], eta, lam, i)
     return layers, V, LossCurve(curve)
 
 
 def forward(V: np.ndarray, layers, eta: float, lam: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in layers:
-            V = step(V, layer, eta, lam)
+        for i, layer in enumerate(layers):
+            V = step(V, layer, eta, lam, i)
     return V
 
 

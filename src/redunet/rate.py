@@ -28,11 +28,6 @@ def check_labels(labels) -> np.ndarray:
     return y.astype(int)
 
 
-def check_eps(eps: float) -> None:
-    if not 0 < eps < np.inf:
-        raise DataError(f"eps must be positive and finite, got {eps}")
-
-
 @dataclass(frozen=True)
 class Membership:
     """Soft class-assignment weights: row j holds the diagonal of the j-th
@@ -77,11 +72,25 @@ class Membership:
         return self.weights.sum(axis=1)
 
 
+def _coefficients(n: int, counts, eps: float) -> np.ndarray:
+    """n / (count eps^2) for each count, in float64, and 0 for an empty count
+    (count <= 0), which adds nothing to a rate. The one owner of the eps rule:
+    raises DataError unless 0 < eps < inf and every nonzero count gives a
+    finite, positive coefficient, so eps^2 may neither underflow nor overflow."""
+    counts = np.asarray(counts, dtype=float)
+    with np.errstate(all="ignore"):
+        a = np.where(counts > 0, n / (counts * np.float64(eps) ** 2), 0.0)
+    if not (0 < eps < np.inf and np.all(((a > 0) & (a < np.inf)) | (counts <= 0))):
+        raise DataError("eps must be positive, with n / (m eps^2) finite and positive for "
+                        f"every nonzero count m; got eps = {eps} for n = {n}")
+    return a
+
+
 @dataclass(frozen=True)
 class RateParams:
     """The coefficients of the rates at precision eps, for n-dimensional
     features: alpha = n / (m eps^2) for the whole set, and for class j
-    alpha_j = n / (tr(Pi_j) eps^2) (inf if the class is empty) and its share
+    alpha_j = n / (tr(Pi_j) eps^2) (0 if the class is empty) and its share
     gamma_j = tr(Pi_j) / m. Every rate and operator takes them from here."""
 
     eps: float
@@ -91,19 +100,11 @@ class RateParams:
 
     @classmethod
     def compute(cls, n: int, Pi: Membership, eps: float) -> "RateParams":
-        check_eps(eps)
-        m = Pi.m
-        if m == 0:
-            raise ShapeError("membership covers no samples")
         sizes = Pi.class_sizes
-        with np.errstate(divide="ignore"):
-            alpha_j = np.where(sizes > 0, n / (sizes * eps**2), np.inf)
-        return cls(
-            eps=float(eps),
-            alpha=n / (m * eps**2),
-            alpha_j=alpha_j,
-            gamma_j=sizes / m,
-        )
+        a = _coefficients(n, np.concatenate(([Pi.m], sizes)), eps)
+        if Pi.m == 0:
+            raise ShapeError("membership covers no samples")
+        return cls(eps=float(eps), alpha=float(a[0]), alpha_j=a[1:], gamma_j=sizes / Pi.m)
 
 
 def _check_features(Z: np.ndarray) -> np.ndarray:
@@ -141,22 +142,20 @@ def _rate_from_scatter(scale: float, Z: np.ndarray, weights=1.0) -> float:
 def coding_rate(Z: np.ndarray, eps: float) -> float:
     """Whole-set coding rate at distortion ``eps``."""
     Z = _check_features(Z)
-    check_eps(eps)
     n, m = Z.shape
-    return _rate_from_scatter(n / (m * eps**2), Z)
+    return _rate_from_scatter(float(_coefficients(n, m, eps)), Z)
 
 
 def coding_rate_partitioned(Z: np.ndarray, Pi: Membership, eps: float) -> float:
-    """Membership-weighted sum of per-class coding rates. Empty classes
-    contribute zero."""
+    """Membership-weighted sum of per-class coding rates. An empty class has
+    alpha_j = 0 and contributes gamma_j logdet(I) = 0."""
     Z = _check_features(Z)
     params = RateParams.compute(len(Z), Pi, eps)
     if Pi.m != Z.shape[1]:
         raise ShapeError(f"membership covers {Pi.m} samples, features have {Z.shape[1]}")
     total = 0.0
     for a_j, g_j, pi_j in zip(params.alpha_j, params.gamma_j, Pi.weights):
-        if g_j > 0:
-            total += g_j * _rate_from_scatter(a_j, Z, pi_j)
+        total += g_j * _rate_from_scatter(a_j, Z, pi_j)
     return total
 
 
@@ -191,12 +190,9 @@ def compression_operator(
 
 def rate_gradient(Z: np.ndarray, Pi: Membership, params: RateParams) -> np.ndarray:
     """Exact gradient of the rate reduction with respect to Z:
-    E Z - sum_j gamma_j C_j Z Pi_j."""
+    E Z - sum_j gamma_j C_j Z Pi_j. An empty class has alpha_j = 0, so C_j = 0."""
     Z = _check_features(Z)
-    grad = expansion_operator(Z, params) @ Z
-    for j in range(Pi.k):
-        if params.gamma_j[j] <= 0:
-            continue
-        Cj = compression_operator(Z, Pi, j, params)
-        grad -= params.gamma_j[j] * (Cj @ (Z * Pi.weights[j]))
+    grad = _operator(params.alpha, Z) @ Z
+    for a_j, g_j, pi_j in zip(params.alpha_j, params.gamma_j, Pi.weights):
+        grad -= g_j * (_operator(a_j, Z, pi_j) @ (Z * pi_j))
     return grad

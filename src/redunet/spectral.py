@@ -203,7 +203,12 @@ def spectral_rate_reduction(
 ) -> tuple[float, float, float]:
     """Shift-invariant rate reduction evaluated from full unitary spectra
     (P, C, m): the rates of the full shift family, divided by the number of
-    copies it contains."""
+    copies it contains. The spectra must be finite, with every extent >= 1."""
+    V = np.asarray(V)
+    if V.ndim != 3 or not all(V.shape):
+        raise ShapeError(f"expected (P, C, m) spectra with every extent >= 1, got shape {V.shape}")
+    if not np.all(np.isfinite(V)):
+        raise NumericError("spectra contain non-finite entries")
     share = np.full(len(V), 1 / len(V))
     params = RateParams.compute(V.shape[1], Pi, eps)
     _, L = _engine.factor(V, share, Pi, params)

@@ -23,6 +23,7 @@ from redunet import (
     coding_rate_partitioned,
     construct,
     construct_inv1d,
+    construct_inv2d,
     cosine_similarity_matrix,
     estimate_membership,
     fit_nsc,
@@ -34,11 +35,13 @@ from redunet import (
     predict_nsc,
     rate_reduction,
     read_tensor,
+    save_model,
     sphere_project,
     write_tensor,
 )
 from redunet.cli import build_parser, main
 from redunet.rate import check_labels
+from redunet.spectral import spectral_rate_reduction
 
 NAN = float("nan")
 INF = float("inf")
@@ -97,11 +100,15 @@ def test_fit_nsc_stops_at_the_first_empty_class():
 
 
 # ---------------------------------------------------------------------------
-# eps, eta and lambda: rate.check_eps and _engine.check_step
+# eps, eta and lambda: rate._coefficients and _engine.check_step
 
+# eps whose n / (m eps^2) leaves the float range at n = 3, m = 6: eps^2
+# underflows to 0, to a subnormal that makes the coefficient inf, or overflows
+EPS_OUTSIDE_FLOAT_RANGE = [1e-170, 1e-160, 1e200]
 
 BAD_STEPS = [dict(eps=NAN), dict(eps=INF), dict(eps=-0.5), dict(eta=NAN), dict(eta=-1.0),
-             dict(eta=0.0), dict(eta=INF), dict(lam=-1.0), dict(lam=NAN), dict(lam=INF)]
+             dict(eta=0.0), dict(eta=INF), dict(lam=-1.0), dict(lam=NAN), dict(lam=INF)
+             ] + [dict(eps=eps) for eps in EPS_OUTSIDE_FLOAT_RANGE]
 
 
 @pytest.mark.parametrize("bad", BAD_STEPS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
@@ -114,7 +121,7 @@ def test_construct_rejects_bad_step_parameters(build, bad):
                                                              **params)
 
 
-@pytest.mark.parametrize("eps", [NAN, INF, 0.0])
+@pytest.mark.parametrize("eps", [NAN, INF, 0.0, *EPS_OUTSIDE_FLOAT_RANGE])
 def test_rate_rejects_eps_outside_zero_to_infinity(eps):
     Z, y = _dense_problem()
     with pytest.raises(DataError):
@@ -140,6 +147,16 @@ def test_estimate_membership_rejects_a_nan_lambda():
                 fn(Z[:, 0], model.layers[0], lam)
 
 
+def test_construct_rejects_a_class_with_no_members():
+    Z, _ = _dense_problem()
+    X, _ = _signal_problem()
+    gap = Membership.from_labels([0, 0, 0, 2, 2, 2])  # class 1 is empty
+    for call in (lambda: construct(Z, gap, L=1, eta=0.5, eps=0.5),
+                 lambda: construct_inv1d(X, gap, L=1, eta=0.5, eps=0.5)):
+        with pytest.raises(DataError, match="every class must have nonzero total membership"):
+            call()
+
+
 def test_partitioned_rate_on_a_sample_count_mismatch_is_a_shape_error():
     Z, y = _dense_problem()
     with pytest.raises(ShapeError):
@@ -159,6 +176,47 @@ def test_forward_on_nan_features_is_a_numeric_error():
     model, _, _ = construct_inv1d(X, Membership.from_labels(y), L=2, eta=0.5, eps=0.5)
     with pytest.raises(NumericError):
         forward_inv1d(model, _with_nan(X))
+
+
+def test_invariant_construction_on_a_nan_sample_is_a_numeric_error():
+    X, y = _signal_problem()
+    Pi = Membership.from_labels(y)
+    with pytest.raises(NumericError, match="features contain non-finite entries"):
+        construct_inv1d(_with_nan(X), Pi, L=1, eta=0.5, eps=0.5)
+    images = _with_nan(np.ones((6, 1, 2, 2)) / 2)
+    with pytest.raises(NumericError, match="features contain non-finite entries"):
+        construct_inv2d(images, Pi, L=1, eta=0.5, eps=0.5)
+
+
+def test_forward_names_the_layer_whose_update_fails(tmp_path, capsys):
+    Z, y = _dense_problem()
+    model, _, _ = construct(Z, Membership.from_labels(y), L=3, eta=0.5, eps=0.5)
+    model.layers[1].E[0, 0] = NAN
+    with pytest.raises(NumericError, match="layer 1"):
+        forward(model, Z)
+    save_model(tmp_path / "model.rnm", model)
+    write_tensor(tmp_path / "feats.rtf", Tensor.from_array(Z))
+    assert main(["forward", "--model", str(tmp_path / "model.rnm"), "--features",
+                 str(tmp_path / "feats.rtf"), "--out", str(tmp_path / "out.rtf")]) == 4
+    assert capsys.readouterr().err.startswith("error: layer 1: ")
+
+
+@pytest.mark.parametrize("V", [np.ones((4, 3)), np.ones((0, 3, 6)), np.ones((4, 0, 6)),
+                               np.ones((4, 3, 0))], ids=["2-D", "P=0", "C=0", "m=0"])
+def test_spectral_rate_reduction_needs_nonempty_3d_spectra(V):
+    with pytest.raises(ShapeError):
+        spectral_rate_reduction(V, Membership.from_labels([0, 0, 0, 1, 1, 1]), 0.5)
+
+
+def test_spectral_rate_reduction_rejects_non_finite_spectra():
+    V = np.fft.fft(_signal_problem()[0], axis=-1, norm="ortho").T
+    Pi = Membership.from_labels(_signal_problem()[1])
+    assert np.all(np.isfinite(spectral_rate_reduction(V, Pi, 0.5)))
+    for bad in (NAN, INF):
+        W = V.copy()
+        W[1, 0, 2] = bad
+        with pytest.raises(NumericError):
+            spectral_rate_reduction(W, Pi, 0.5)
 
 
 def test_classifier_inputs_must_be_finite_feature_matrices():
@@ -222,6 +280,7 @@ def files(tmp_path_factory):
         "images": images, "nan_images": _with_nan(images), "empty_images": images[:0],
         "labels": y.astype(np.uint32), "short_labels": y[:-1].astype(np.uint32),
         "neg_labels": y - 1.0, "real_labels": y + 0.5,
+        "gap_labels": 2 * y.astype(np.uint32),
         "huge_labels": np.array([0, 0, 0, 1, 1, 2**31], dtype=np.uint32),
     }
     paths = {}
@@ -258,6 +317,8 @@ def _construct_cases(cmd, feats, nan_feats, wrong_rank, empty=None):
         (feats, "labels", ["--layers", "1", "--eta", "0.5", "--eps", "nan"]),
         (feats, "labels", ["--layers", "1", "--eta", "0.5", "--eps", "inf"]),
         (feats, "labels", ["--layers", "1", "--eta", "0.5", "--eps-sq", "-1"]),
+        *[(feats, "labels", ["--layers", "1", "--eta", "0.5", "--eps", str(eps)])
+          for eps in EPS_OUTSIDE_FLOAT_RANGE],
         (feats, "labels", ["--layers", "1", "--eta", "0.5"]),
         (feats, "labels", ["--layers", "1", "--eta", "nan", "--eps", "0.5"]),
         (feats, "labels", ["--layers", "1", "--eta", "-1", "--eps", "0.5"]),
@@ -269,6 +330,7 @@ def _construct_cases(cmd, feats, nan_feats, wrong_rank, empty=None):
         (feats, "neg_labels", good),
         (feats, "huge_labels", good),
         (feats, "short_labels", good),
+        (feats, "gap_labels", good),
     ] + ([(empty, "labels", good)] if empty else [])
     return [[cmd, "--features", f, "--labels", y, "--model-out", "out", *flags]
             for f, y, flags in cases]
@@ -294,6 +356,8 @@ CASES = {
         ["rate", "--features", "feats", "--labels", "labels", "--eps", "inf"],
         ["rate", "--features", "feats", "--labels", "labels", "--eps", "-1"],
         ["rate", "--features", "feats", "--labels", "labels", "--eps-sq", "nan"],
+        *[["rate", "--features", "feats", "--labels", "labels", "--eps", str(eps)]
+          for eps in EPS_OUTSIDE_FLOAT_RANGE],
         ["rate", "--features", "nan_feats", "--labels", "labels", "--eps", "0.5"],
         ["rate", "--features", "vec", "--labels", "labels", "--eps", "0.5"],
         ["rate", "--features", "feats", "--labels", "neg_labels", "--eps", "0.5"],
@@ -372,13 +436,26 @@ def test_every_subcommand_is_walked():
     assert sorted(CASES) == sorted(sub.choices)
 
 
+def _run(files, argv, tmp_path, capsys):
+    # file names refer to the fixture; "out" and "out_bundle" are fresh paths
+    argv = [files.get(a, str(tmp_path / a) if a.startswith("out") else a) for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), (argv, err)
+    return code
+
+
 @pytest.mark.parametrize("command", CASES)
 def test_malformed_input_exits_2_3_or_4_without_raising(files, command, tmp_path, capsys):
     for argv in CASES[command]:
-        # file names refer to the fixture; "out" and "out_bundle" are fresh paths
-        argv = [files.get(a, str(tmp_path / a) if a.startswith("out") else a) for a in argv]
-        code = main(argv)
-        err = capsys.readouterr().err
-        assert code in (2, 3, 4), (argv, code)
-        assert err.startswith("error: "), (argv, err)
+        assert _run(files, argv, tmp_path, capsys) in (2, 3, 4), argv
     assert not any(p.name.endswith(".manifest.json") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["rate", "construct", "construct-inv1d", "construct-inv2d"])
+def test_eps_outside_the_float_range_and_an_empty_class_exit_3(files, command, tmp_path, capsys):
+    bad = {str(eps) for eps in EPS_OUTSIDE_FLOAT_RANGE} | {"gap_labels"}
+    cases = [argv for argv in CASES[command] if bad & set(argv)]
+    assert len(cases) == (3 if command == "rate" else 4)
+    for argv in cases:
+        assert _run(files, argv, tmp_path, capsys) == 3, argv

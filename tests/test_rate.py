@@ -73,6 +73,18 @@ def test_rate_reduction_gradient_matches_finite_differences(seed):
     _assert_close_rel(analytic, numeric)
 
 
+def test_gradient_with_an_empty_soft_class_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    Z = rng.standard_normal((4, 9))
+    w = rng.random((3, 9))
+    w[1] = 0.0
+    Pi = Membership(w / w.sum(axis=0))
+    params = RateParams.compute(4, Pi, 0.5)
+    assert params.alpha_j[1] == 0.0 and params.gamma_j[1] == 0.0
+    numeric = _central_difference(lambda W: rate_reduction(W, Pi, 0.5)[2], Z)
+    _assert_close_rel(rate_gradient(Z, Pi, params), numeric)
+
+
 def _naive_rate(Z, eps, weights=None):
     n, m = Z.shape
     W = Z if weights is None else Z * weights
