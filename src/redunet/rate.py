@@ -75,12 +75,13 @@ class Membership:
 def _coefficients(n: int, counts, eps: float) -> np.ndarray:
     """n / (count eps^2) for each count, in float64, and 0 for an empty count
     (count <= 0), which adds nothing to a rate. The one owner of the eps rule:
-    raises DataError unless 0 < eps < inf and every nonzero count gives a
-    finite, positive coefficient, so eps^2 may neither underflow nor overflow."""
+    raises DataError unless 0 < eps < inf and every coefficient is finite, and
+    positive where n and the count are, so eps^2 may neither underflow nor
+    overflow."""
     counts = np.asarray(counts, dtype=float)
     with np.errstate(all="ignore"):
         a = np.where(counts > 0, n / (counts * np.float64(eps) ** 2), 0.0)
-    if not (0 < eps < np.inf and np.all(((a > 0) & (a < np.inf)) | (counts <= 0))):
+    if not (0 < eps < np.inf and np.all((a < np.inf) & ((a > 0) | (n * counts <= 0)))):
         raise DataError("eps must be positive, with n / (m eps^2) finite and positive for "
                         f"every nonzero count m; got eps = {eps} for n = {n}")
     return a

@@ -111,6 +111,8 @@ def test_partitioned_rate_matches_naive_formula():
 
 def test_zero_features_have_zero_rate():
     assert coding_rate(np.zeros((4, 6)), 0.5) == 0.0
+    # features of dimension 0 carry no rate at any eps
+    assert rate_reduction(np.zeros((0, 3)), Membership.from_labels([0, 1, 1]), 0.5) == (0, 0, 0)
 
 
 def test_single_class_rate_reduction_is_zero():
