@@ -31,8 +31,11 @@ reference the engine is tested against.
 The update of a sample depends on that sample alone: its increment and its
 softmin membership read only its own column. :func:`step` therefore takes
 the update on blocks of samples, sized so that one block's (k, P, d, b)
-class products C_j V fit in STEP_BLOCK_BYTES. Construction and serving
-hold the batch, its update and one block, not k copies of the batch.
+class products C_j V fit in STEP_BLOCK_BYTES (:func:`samples_per_block`,
+the one reader of that budget). Construction and the dense forward hold the
+batch, its update and one block, not k copies of the batch; the invariant
+forward takes each block through every layer in turn, so it holds its
+input, its output and one block.
 Every scaling by a real factor in the update (the class weights gamma_j
 pihat_j, eta and the sample norms) runs on the float64 view of the stack,
 where complex entries are (re, im) pairs along the sample axis and the
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .rate import Membership, RateParams, _cholesky
+from .rate import Membership, RateParams, _as_float, _cholesky
 
 UNIT_NORM_TOL = 1e-9
 STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V in step(); see there
@@ -114,7 +117,7 @@ class LossCurve(Sequence):
 def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
     """The step rule every layer obeys: a finite step size eta > 0 and a
     finite softmin temperature lam >= 0."""
-    if not (0 < eta < np.inf and 0 <= lam < np.inf):
+    if not (0 < _as_float(eta) < np.inf and 0 <= _as_float(lam) < np.inf):
         raise DataError(f"need 0 < eta < inf and 0 <= lambda < inf, got {eta} and {lam}")
 
 
@@ -178,14 +181,20 @@ def increment(V: np.ndarray, E: np.ndarray, C: np.ndarray, gamma: np.ndarray,
     return dV
 
 
+def samples_per_block(layer, P: int, d: int, dtype) -> int:
+    """The most samples b, at least one, whose (k, P, d, b) class products
+    C_j V fit in STEP_BLOCK_BYTES, for (P, d, m) features of ``dtype``."""
+    per_sample = len(layer.gamma_j) * P * d * np.result_type(dtype, layer.blocks[1]).itemsize
+    return max(1, STEP_BLOCK_BYTES // max(1, per_sample))
+
+
 def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray:
     """Layer ``index``: V + eta * increment, renormalized to unit sample norm.
 
-    The update is taken on blocks of b samples, b the most (at least one)
-    whose (k, P, d, b) class products fit in STEP_BLOCK_BYTES. Per block it
-    makes C_j V and E V, subtracts the weighted sum of the class products,
-    scales by eta and adds V into the output; then one pass finds the sample
-    norms and one divides by them. Every scaling by a real factor (weights,
+    The update is taken on blocks of :func:`samples_per_block` samples. Per
+    block it makes C_j V and E V, subtracts the weighted sum of the class
+    products, scales by eta and adds V into the output; then one pass finds
+    the sample norms and one divides by them. Every scaling by a real factor (weights,
     eta, norms) runs on the float64 views, so a complex stack is never
     multiplied or divided as complex; the sum V + eta * increment is a plain
     add. A batch that fits one block, m * k * P * d * itemsize <=
@@ -194,8 +203,7 @@ def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray
     NumericError naming the layer, so callers silence numpy's warnings."""
     E, C = layer.blocks
     P, d, m = V.shape
-    per_sample = len(layer.gamma_j) * P * d * np.result_type(V, C).itemsize
-    b = max(1, STEP_BLOCK_BYTES // max(1, per_sample))
+    b = samples_per_block(layer, P, d, V.dtype)
     out = np.empty(V.shape, np.result_type(V, E, C))
     for start in range(0, m, b):
         cols = np.s_[..., start:start + b]

@@ -9,6 +9,7 @@ features and one compression operator per class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,15 @@ class Membership:
         return self.weights.sum(axis=1)
 
 
+def _as_float(x) -> float:
+    """x as a float; a Python int beyond the float range reads as +-inf, which
+    every range check on a parameter rejects."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _coefficients(n: int, counts, eps: float) -> np.ndarray:
     """n / (count eps^2) for each count, in float64, and 0 for an empty count
     (count <= 0), which adds nothing to a rate. The one owner of the eps rule:
@@ -79,9 +89,10 @@ def _coefficients(n: int, counts, eps: float) -> np.ndarray:
     positive where n and the count are, so eps^2 may neither underflow nor
     overflow."""
     counts = np.asarray(counts, dtype=float)
+    e = _as_float(eps)
     with np.errstate(all="ignore"):
-        a = np.where(counts > 0, n / (counts * np.float64(eps) ** 2), 0.0)
-    if not (0 < eps < np.inf and np.all((a < np.inf) & ((a > 0) | (n * counts <= 0)))):
+        a = np.where(counts > 0, n / (counts * np.float64(e) ** 2), 0.0)
+    if not (0 < e < np.inf and np.all((a < np.inf) & ((a > 0) | (n * counts <= 0)))):
         raise DataError("eps must be positive, with n / (m eps^2) finite and positive for "
                         f"every nonzero count m; got eps = {eps} for n = {n}")
     return a

@@ -265,11 +265,12 @@ class _HalfSpectrum:
         return self.w == 1
 
 
-def _to_spectral(Zbar: np.ndarray) -> np.ndarray:
+def _to_spectral(Zbar: np.ndarray, half: _HalfSpectrum | None = None) -> np.ndarray:
     """(m, C, *dims) real -> (P, C, m) sqrt(w)-scaled unitary half spectra,
-    exactly real at self-conjugate frequencies."""
+    exactly real at self-conjugate frequencies. ``half`` is the half spectrum
+    of ``dims``, built here if not given."""
     m, C, *dims = Zbar.shape
-    half = _HalfSpectrum.of(tuple(dims))
+    half = _HalfSpectrum.of(tuple(dims)) if half is None else half
     V = np.fft.rfftn(Zbar, axes=range(2, Zbar.ndim), norm="ortho").reshape(m, C, -1).T
     V = np.ascontiguousarray(V[half.keep])
     Vr = _engine._real(V)
@@ -278,12 +279,13 @@ def _to_spectral(Zbar: np.ndarray) -> np.ndarray:
     return V
 
 
-def _from_spectral(V: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+def _from_spectral(V: np.ndarray, dims: tuple[int, ...],
+                   half: _HalfSpectrum | None = None) -> np.ndarray:
     """Inverse of :func:`_to_spectral`: (P, C, m) -> (m, C, *dims) real.
     The grid is filled, then divided in place by sqrt(w) of each entry's
     representative (the dropped entries' partners all have w = 2)."""
     P, C, m = V.shape
-    half = _HalfSpectrum.of(dims)
+    half = _HalfSpectrum.of(dims) if half is None else half
     grid = np.empty((math.prod(half.shape), C, m), dtype=complex)
     grid[half.keep] = V
     grid[half.dropped] = grid[half.partner].conj()
@@ -311,10 +313,9 @@ def _construct_inv(
     axes = _KIND_AXES[kind]
     if Zbar.ndim != 2 + len(axes) or not all(Zbar.shape):
         raise ShapeError(f"expected (m, C, {', '.join(axes)}) input with m, C and extents >= 1")
+    half = _HalfSpectrum.of(Zbar.shape[2:])
     layers, V, curve = _engine.construct(
-        _to_spectral(Zbar), _HalfSpectrum.of(Zbar.shape[2:]).share, Pi, L, eta, eps, lam,
-        SpectralLayer,
-    )
+        _to_spectral(Zbar, half), half.share, Pi, L, eta, eps, lam, SpectralLayer)
     model = InvariantModel(
         kind=kind,
         layers=tuple(layers),
@@ -325,7 +326,7 @@ def _construct_inv(
         dims=Zbar.shape[2:],
         k=Pi.k,
     )
-    return model, _from_spectral(V, model.dims), curve
+    return model, _from_spectral(V, model.dims, half), curve
 
 
 def construct_inv1d(
@@ -354,18 +355,30 @@ def _forward_inv(kind: str, model: InvariantModel, Zbar: np.ndarray) -> np.ndarr
     if Zbar.shape[1:] != expected or not len(Zbar):
         raise ShapeError(f"expected (m, {', '.join(map(str, expected))}) input with m >= 1, "
                          f"got {Zbar.shape}")
-    V = _engine.forward(_to_spectral(Zbar), model.layers, model.eta, model.lam)
-    return _from_spectral(V, model.dims)
+    half = _HalfSpectrum.of(model.dims)
+    b = _engine.samples_per_block(model.layers[0], len(half.keep), model.channels, complex)
+    out = np.empty(Zbar.shape)
+    for start in range(0, len(Zbar), b):
+        rows = np.s_[start:start + b]
+        V = _engine.forward(_to_spectral(Zbar[rows], half), model.layers, model.eta, model.lam)
+        out[rows] = _from_spectral(V, model.dims, half)
+    return out
 
 
 def forward_inv1d(model: InvariantModel, Zbar: np.ndarray) -> np.ndarray:
     """Evaluate the stored layers on new (m, C, T) samples; commutes exactly
-    with cyclic shifts of the input."""
+    with cyclic shifts of the input.
+
+    Each sample's output depends on that sample alone, so the samples are
+    served block by block: a block of :func:`redunet._engine.samples_per_block`
+    samples goes through the DFT, every layer and the inverse DFT into the
+    output. The call holds its input, its output, the model and one block."""
     return _forward_inv(KIND_SHIFT1D, model, Zbar)
 
 
 def forward_inv2d(model: InvariantModel, Zbar: np.ndarray) -> np.ndarray:
-    """2D analog of :func:`forward_inv1d` for (m, C, H, W) samples."""
+    """2D analog of :func:`forward_inv1d` for (m, C, H, W) samples, served
+    block by block in the same way."""
     return _forward_inv(KIND_TRANSLATE2D, model, Zbar)
 
 

@@ -128,6 +128,21 @@ def test_rate_rejects_eps_outside_zero_to_infinity(eps):
         rate_reduction(Z, Membership.from_labels(y), eps)
 
 
+@pytest.mark.parametrize("name", ["eps", "eta", "lam"])
+def test_construct_rejects_an_int_parameter_beyond_the_float_range(name):
+    # float(10**400) raises OverflowError; the range checks must see it as inf
+    Z, y = _dense_problem()
+    params = dict(L=1, eta=0.5, eps=0.5, lam=500.0) | {name: 10**400}
+    with pytest.raises(DataError):
+        construct(Z, Membership.from_labels(y), **params)
+
+
+def test_rate_rejects_an_int_eps_beyond_the_float_range():
+    Z, y = _dense_problem()
+    with pytest.raises(DataError):
+        rate_reduction(Z, Membership.from_labels(y), 10**400)
+
+
 def test_a_membership_of_no_samples_is_a_shape_error():
     Z, _ = _dense_problem()
     empty = Membership.from_labels([])

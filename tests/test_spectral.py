@@ -13,6 +13,7 @@ from redunet import (
     DataError,
     FormatError,
     Membership,
+    NumericError,
     ShapeError,
     SpectralLayer,
     Tensor,
@@ -325,7 +326,7 @@ def test_sample_blocks_match_one_block(monkeypatch):
             widths.clear()
             patch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model2, 4))
             np.testing.assert_allclose(forward_inv2d(model2, Z2_new), fwd2, rtol=0, atol=1e-12)
-            assert widths == [4, 4, 3] * 2
+            assert widths == [4, 4, 4, 4, 3, 3]
 
 
 def test_forward_of_a_batch_is_the_forward_of_its_halves(monkeypatch):
@@ -354,6 +355,53 @@ def test_forward_memory_is_the_batch_plus_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 5 * batch.nbytes + budget
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 14])  # 1, b - 1, b, b + 1, 3b + 2 at b = 4
+@pytest.mark.parametrize("lam", [500.0, 5.0])
+def test_block_major_forward_is_the_batch_major_engine_run(monkeypatch, m, lam):
+    Z1, _, Pi1 = _samples_1d(seed=28, m=9, C=3, T=8, k=3)
+    Z2, _, Pi2 = _samples_2d(seed=29, m=9, C=2, H=5, W=6, k=3)
+    for build, run, Z, Pi, new in (
+            (construct_inv1d, forward_inv1d, Z1, Pi1, _samples_1d(seed=30, m=m, C=3, T=8)[0]),
+            (construct_inv2d, forward_inv2d, Z2, Pi2,
+             _samples_2d(seed=31, m=m, C=2, H=5, W=6)[0])):
+        model, _, _ = build(Z, Pi, L=3, eta=0.5, eps=0.5, lam=lam)
+        monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model, 4))
+        V = _engine.forward(spectral._to_spectral(new), model.layers, model.eta, model.lam)
+        assert np.array_equal(run(model, new), spectral._from_spectral(V, model.dims))
+
+
+def _forward_peak_above_output(model, batch):
+    tracemalloc.start()
+    try:
+        out = forward_inv2d(model, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+def test_forward_memory_does_not_grow_with_the_batch(monkeypatch):
+    # block by block, the forward holds its output and one block's DFT,
+    # layers and inverse DFT, whatever the batch size
+    Z, _, Pi = _samples_2d(seed=32, m=20, C=4, H=16, W=16, k=10)
+    model, _, _ = construct_inv2d(Z, Pi, L=1, eta=0.5, eps=0.5)
+    budget = 1 << 20
+    monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", budget)
+    small = _forward_peak_above_output(model, _samples_2d(seed=33, m=100, C=4, H=16, W=16)[0])
+    large = _forward_peak_above_output(model, _samples_2d(seed=34, m=1600, C=4, H=16, W=16)[0])
+    assert large <= small + budget // 4
+    assert large < 3 * budget
+
+
+def test_a_nan_operator_names_its_layer_when_the_batch_spans_blocks(monkeypatch):
+    Z, _, Pi = _samples_2d(seed=35, m=9, C=2, H=4, W=5, k=3)
+    model, _, _ = construct_inv2d(Z, Pi, L=3, eta=0.5, eps=0.5)
+    model.layers[1].E_hat[0, 0, 0] = np.nan
+    monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model, 3))
+    with pytest.raises(NumericError, match="layer 1"):
+        forward_inv2d(model, _samples_2d(seed=36, m=10, C=2, H=4, W=5)[0])
 
 
 def test_output_samples_stay_unit_norm():
