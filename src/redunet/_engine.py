@@ -59,7 +59,7 @@ from .errors import DataError, NumericError, ShapeError
 from .rate import Membership, RateParams, _as_float, _cholesky
 
 UNIT_NORM_TOL = 1e-9
-STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V in step(); see there
+STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V; see samples_per_block()
 
 
 def _herm(X: np.ndarray) -> np.ndarray:
@@ -181,11 +181,10 @@ def increment(V: np.ndarray, E: np.ndarray, C: np.ndarray, gamma: np.ndarray,
     return dV
 
 
-def samples_per_block(layer, P: int, d: int, dtype) -> int:
+def samples_per_block(k: int, P: int, d: int, itemsize: int) -> int:
     """The most samples b, at least one, whose (k, P, d, b) class products
-    C_j V fit in STEP_BLOCK_BYTES, for (P, d, m) features of ``dtype``."""
-    per_sample = len(layer.gamma_j) * P * d * np.result_type(dtype, layer.blocks[1]).itemsize
-    return max(1, STEP_BLOCK_BYTES // max(1, per_sample))
+    C_j V of ``itemsize`` bytes an entry fit in STEP_BLOCK_BYTES."""
+    return max(1, STEP_BLOCK_BYTES // max(1, k * P * d * itemsize))
 
 
 def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray:
@@ -194,16 +193,16 @@ def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray
     The update is taken on blocks of :func:`samples_per_block` samples. Per
     block it makes C_j V and E V, subtracts the weighted sum of the class
     products, scales by eta and adds V into the output; then one pass finds
-    the sample norms and one divides by them. Every scaling by a real factor (weights,
-    eta, norms) runs on the float64 views, so a complex stack is never
-    multiplied or divided as complex; the sum V + eta * increment is a plain
-    add. A batch that fits one block, m * k * P * d * itemsize <=
+    the sample norms and one divides by them. Every scaling by a real factor
+    (weights, eta, norms) runs on the float64 views, so a complex stack is
+    never multiplied or divided as complex; the sum V + eta * increment is a
+    plain add. A batch that fits one block, m * k * P * d * itemsize <=
     STEP_BLOCK_BYTES, gets the values of the unblocked update bit for bit: the
     same operations run on the same operands. A zero or non-finite norm raises
     NumericError naming the layer, so callers silence numpy's warnings."""
     E, C = layer.blocks
     P, d, m = V.shape
-    b = samples_per_block(layer, P, d, V.dtype)
+    b = samples_per_block(len(layer.gamma_j), P, d, np.result_type(V, C).itemsize)
     out = np.empty(V.shape, np.result_type(V, E, C))
     for start in range(0, m, b):
         cols = np.s_[..., start:start + b]

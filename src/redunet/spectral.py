@@ -356,7 +356,8 @@ def _forward_inv(kind: str, model: InvariantModel, Zbar: np.ndarray) -> np.ndarr
         raise ShapeError(f"expected (m, {', '.join(map(str, expected))}) input with m >= 1, "
                          f"got {Zbar.shape}")
     half = _HalfSpectrum.of(model.dims)
-    b = _engine.samples_per_block(model.layers[0], len(half.keep), model.channels, complex)
+    b = _engine.samples_per_block(model.k, len(half.keep), model.channels,
+                                  np.dtype(complex).itemsize)
     out = np.empty(Zbar.shape)
     for start in range(0, len(Zbar), b):
         rows = np.s_[start:start + b]
