@@ -15,14 +15,18 @@ Per layer the whole-set matrix and the k class matrices
 
     A_j(p) = I + (a_j / s_p) V(p) W_j V(p)^H      (W_0 = I, W_j = diag(Pi_j))
 
-are filled into one (1 + k, P, d, d) stack and Cholesky-factored once. The
+are filled into one (P, 1 + k, d, d) stack and Cholesky-factored once. The
 coefficients a_0 = alpha, a_j = alpha_j and the class shares gamma_j come
 from :class:`redunet.rate.RateParams`, computed once per construction,
 where an empty class has alpha_j = 0, so its block is the identity. The
 s-weighted log-diagonal of that factor gives the loss-curve entry, and its
 inverse gives the operators a_j A_j^-1 = a_j L^-H L^-1, built and scaled as
 one stack of the same shape: the expansion operator E is its row 0 and the
-compression operators C its rows 1..k, both views of it. The weights enter
+compression operators C its rows 1..k, both views of it (:func:`views`).
+Each frequency's k class operators are thus one contiguous (k d, d) matrix,
+so the class products C_j V of all classes are one matrix product per
+frequency (:func:`class_products`), read by the softmin and the weighted
+sum as one (P, k, d, b) block. The weights enter
 only there, in :func:`factor` and :func:`rates`: the update, the residual
 norms of the softmin and the renormalization are sums over the scaled
 stack and need no weights. :mod:`redunet.rate` is the readable per-matrix
@@ -30,7 +34,7 @@ reference the engine is tested against.
 
 The update of a sample depends on that sample alone: its increment and its
 softmin membership read only its own column. :func:`step` therefore takes
-the update on blocks of samples, sized so that one block's (k, P, d, b)
+the update on blocks of samples, sized so that one block's (P, k, d, b)
 class products C_j V fit in STEP_BLOCK_BYTES (:func:`samples_per_block`,
 the one reader of that budget). Construction and the dense forward hold the
 batch, its update and one block, not k copies of the batch; the invariant
@@ -41,11 +45,15 @@ pihat_j, eta and the sample norms) runs on the float64 view of the stack,
 where complex entries are (re, im) pairs along the sample axis and the
 per-sample factors are repeated to match; a real stack is its own view.
 
-A layer is any object with ``gamma_j`` and ``blocks``, the pair (E, C) in
-stack layout: E broadcasts against (P, d, d) and C against (k, P, d, d).
-The RNM1 and RNS1 containers store each layer as that one stack, E then
-C^1..C^k (:func:`write_layers`), and :func:`read_layers` reads it back as one
-array whose views are E and C.
+A layer is any object with ``gamma_j`` and ``stack``, its (P, 1 + k, d, d)
+operator stack. The layers of :mod:`redunet.dense` and :mod:`redunet.spectral`
+copy the E and C they are made from into a new stack (:func:`stack_of`) and
+hold them as views of it, so writing through E or C changes the layer. The
+RNM1 and RNS1 containers store each layer class-major, E then C^1..C^k, each
+over every frequency: the stack transposed to (1 + k, P, d, d)
+(:func:`write_layers`). A layer read back (:func:`read_layers`) is made from
+views of that array, so its copy into a stack is the one transposition at
+load.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from .rate import Membership, RateParams, _as_float, _cholesky
 
 UNIT_NORM_TOL = 1e-9
 STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V; see samples_per_block()
+SOFTMIN_FLUSH = np.exp(-460.0)  # smaller softmin weights (about 1e-200) are 0; see membership()
 
 
 def _herm(X: np.ndarray) -> np.ndarray:
@@ -123,7 +132,7 @@ def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
 
 def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
            params: RateParams) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients a_j and the Cholesky factors of the (1 + k, P, d, d)
+    """The coefficients a_j and the Cholesky factors of the (P, 1 + k, d, d)
     stack for frequency shares ``share``: a_0 = alpha and a_j = alpha_j from
     ``params``, which is 0 for an empty class, so its block is the identity
     and adds nothing to the rate."""
@@ -132,19 +141,21 @@ def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
         raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
     coef = np.concatenate(([params.alpha], params.alpha_j))
     Vh = _herm(V)
-    A = np.empty((1 + Pi.k, P, d, d), dtype=V.dtype)
-    np.matmul(V, Vh, out=A[0])
+    A = np.empty((P, 1 + Pi.k, d, d), dtype=V.dtype)
+    np.matmul(V, Vh, out=A[:, 0])
     for j, pi_j in enumerate(Pi.weights, start=1):
-        np.matmul(V * pi_j, Vh, out=A[j])
-    A *= np.divide.outer(coef, share)[:, :, None, None]
+        np.matmul(V * pi_j, Vh, out=A[:, j])
+    A *= (coef / share[:, None])[:, :, None, None]
     A += np.eye(d)
     return coef, _cholesky(A)
 
 
 def rates(L: np.ndarray, share: np.ndarray, gamma: np.ndarray) -> tuple[float, float, float]:
     """(R, Rc, dR) from the factors: row j contributes sum_p s_p logdet(A_j(p))
-    / 2, the rate of the whole shift family divided by its copies."""
-    half_logdet = np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=-1) @ share
+    / 2, the rate of the whole shift family divided by its copies. The sums
+    over p run on the rows of a (1 + k, P) array, one dot product each."""
+    logs = np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=-1)
+    half_logdet = np.ascontiguousarray(logs.T) @ share
     R = float(half_logdet[0])
     Rc = float(gamma @ half_logdet[1:])
     return R, Rc, R - Rc
@@ -153,36 +164,68 @@ def rates(L: np.ndarray, share: np.ndarray, gamma: np.ndarray) -> tuple[float, f
 def operators(coef: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expansion (P, d, d) and compression (k, P, d, d) operators
     a_j L^-H L^-1 from one inverse, one product and one scaling of the whole
-    factor stack; both are views of that (1 + k, P, d, d) stack."""
+    factor stack; both are :func:`views` of that (P, 1 + k, d, d) stack."""
     Linv = np.linalg.inv(L)
     M = _herm(Linv) @ Linv
-    M *= coef[:, None, None, None]
-    return M[0], M[1:]
+    M *= coef[:, None, None]
+    return views(M)
+
+
+def views(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion operators E = S[:, 0] (P, d, d) and the compression
+    operators C (k, P, d, d) of a (P, 1 + k, d, d) stack, as views of it."""
+    return S[:, 0], S[:, 1:].swapaxes(0, 1)
+
+
+def stack_of(E: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """A new contiguous (P, 1 + k, d, d) stack whose :func:`views` hold the
+    values of E (P, d, d) and C (k, P, d, d)."""
+    return np.concatenate((E[:, None], C.swapaxes(0, 1)), axis=1)
+
+
+def class_products(S: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """C_j V for every class of the stack S as one (P, k, d, b) block, from V
+    (P, d, b): per frequency, one product of the k class operators, a (k d, d)
+    view of S, with V(p)."""
+    P, k1, d, _ = S.shape
+    return (S[:, 1:].reshape(P, (k1 - 1) * d, d) @ V).reshape(P, k1 - 1, d, -1)
 
 
 def membership(CV: np.ndarray, lam: float) -> np.ndarray:
     """Softmin over lam * ||C_j v||, the class residual norms aggregated over
-    every frequency; CV is (k, P, d, m), the result (k, m)."""
-    scaled = lam * np.sqrt(_sq_norms(CV, "jpax,jpax->jx"))
-    w = np.exp(-(scaled - scaled.min(axis=0)))
+    every frequency; CV is the (P, k, d, m) block of :func:`class_products`,
+    the result (k, m).
+
+    An unnormalized weight exp(-gap), with gap = lam ||C_j v|| - min_i lam
+    ||C_i v||, below SOFTMIN_FLUSH = e^-460 (about 1e-200; a gap above 460)
+    is set to exactly 0. That keeps subnormal weights, which slow the
+    weighted sum by an order of magnitude, out of the update, and it changes
+    no rounded result: the largest unnormalized weight is exactly 1, so a
+    flushed term is more than 10^183 times smaller than half an ulp of the
+    sums it joins, unless such a sum cancels to about 1e-184."""
+    scaled = lam * np.sqrt(_sq_norms(CV, "pjax,pjax->jx"))
+    w = np.exp(scaled.min(axis=0) - scaled)
+    if w.min() < SOFTMIN_FLUSH:  # one reduction where nothing is flushed, not a full mask
+        np.putmask(w, w < SOFTMIN_FLUSH, 0.0)
     return w / w.sum(axis=0)
 
 
-def increment(V: np.ndarray, E: np.ndarray, C: np.ndarray, gamma: np.ndarray,
-              lam: float) -> np.ndarray:
-    """E V - sum_j gamma_j pihat_j C_j V with memberships from the softmin.
-    The class-weighted sum is one real einsum over the float64 views, the
+def increment(V: np.ndarray, S: np.ndarray, gamma: np.ndarray, lam: float) -> np.ndarray:
+    """E V - sum_j gamma_j pihat_j C_j V for the operator stack S, with
+    memberships from the softmin. The class products are one (P, k, d, b)
+    block (:func:`class_products`) and E V its own (P, d, b) product; the
+    class-weighted sum is one real einsum over the float64 views, the
     per-sample weights repeated to the (re, im) pairs."""
-    CV = C @ V
+    CV = class_products(S, V)
     weights = _per_entry(gamma[:, None] * membership(CV, lam), CV)
-    dV = E @ V
+    dV = S[:, 0] @ V
     dVr = _real(dV)
-    dVr -= np.einsum("jpax,jx->pax", _real(CV), weights)
+    dVr -= np.einsum("pjax,jx->pax", _real(CV), weights)
     return dV
 
 
 def samples_per_block(k: int, P: int, d: int, itemsize: int) -> int:
-    """The most samples b, at least one, whose (k, P, d, b) class products
+    """The most samples b, at least one, whose (P, k, d, b) class products
     C_j V of ``itemsize`` bytes an entry fit in STEP_BLOCK_BYTES."""
     return max(1, STEP_BLOCK_BYTES // max(1, k * P * d * itemsize))
 
@@ -191,7 +234,8 @@ def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray
     """Layer ``index``: V + eta * increment, renormalized to unit sample norm.
 
     The update is taken on blocks of :func:`samples_per_block` samples. Per
-    block it makes C_j V and E V, subtracts the weighted sum of the class
+    block it makes the class products C_j V, one product per frequency, and
+    E V, subtracts the weighted sum of the class
     products, scales by eta and adds V into the output; then one pass finds
     the sample norms and one divides by them. Every scaling by a real factor
     (weights, eta, norms) runs on the float64 views, so a complex stack is
@@ -200,18 +244,18 @@ def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray
     STEP_BLOCK_BYTES, gets the values of the unblocked update bit for bit: the
     same operations run on the same operands. A zero or non-finite norm raises
     NumericError naming the layer, so callers silence numpy's warnings."""
-    E, C = layer.blocks
+    S = layer.stack
     P, d, m = V.shape
-    b = samples_per_block(len(layer.gamma_j), P, d, np.result_type(V, C).itemsize)
-    out = np.empty(V.shape, np.result_type(V, E, C))
+    out = np.empty(V.shape, np.result_type(V, S))
+    b = samples_per_block(len(layer.gamma_j), P, d, out.itemsize)
     for start in range(0, m, b):
         cols = np.s_[..., start:start + b]
-        dV = increment(V[cols], E, C, layer.gamma_j, lam)
+        dV = increment(V[cols], S, layer.gamma_j, lam)
         dVr = _real(dV)
         dVr *= eta
         np.add(V[cols], dV, out=out[cols])
     norms = np.sqrt(_sq_norms(out, "pax,pax->x"))
-    if not np.all((norms > 0) & (norms < np.inf)):
+    if not (norms.min() > 0 and norms.max() < np.inf):  # a NaN fails both
         raise NumericError(f"layer {index}: a sample collapsed to zero or became non-finite "
                            "during the update")
     outr = _real(out)
@@ -255,20 +299,20 @@ def forward(V: np.ndarray, layers, eta: float, lam: float) -> np.ndarray:
 
 def write_layers(path, header: bytes, layers, dtype: str) -> None:
     """A model container: ``header``, then the layer stream, which is gamma
-    as float64 and per layer E and C^1..C^k in stack layout as ``dtype``."""
+    as float64 and per layer E and C^1..C^k, each (P, d, d), as ``dtype``:
+    the operator stack transposed to (1 + k, P, d, d)."""
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(layers[0].gamma_j, dtype="<f8"))
         for layer in layers:
-            for block in layer.blocks:
-                fh.write(np.ascontiguousarray(block, dtype=dtype))
+            fh.write(np.ascontiguousarray(layer.stack.swapaxes(0, 1), dtype=dtype))
 
 
 def read_layers(r, dtype: str, L: int, k: int, P: int, d: int, make_layer) -> tuple:
     """Inverse of :func:`write_layers` from a ContainerReader positioned after
     the header; the stream must end the file. Each layer is read as one
-    (1 + k, P, d, d) stack and made by ``make_layer(E, C, gamma)`` from its
-    views, as in :func:`construct`."""
+    (1 + k, P, d, d) array and made by ``make_layer(E, C, gamma)`` from its
+    views E and C, as in :func:`construct`."""
     if L < 1 or k < 1 or P * d == 0:
         raise ShapeError(f"{r.path}: a model needs a layer, a class and nonempty layer blocks")
     gamma = r.array("<f8", (k,))

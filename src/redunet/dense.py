@@ -30,11 +30,22 @@ MODEL_VERSION = 1
 @dataclass(frozen=True)
 class DenseLayer:
     """E is (n, n); C stacks the k compression operators as one (k, n, n)
-    array, which iterates class by class."""
+    array, which iterates class by class. The layer copies both into
+    ``stack``, its (1, 1 + k, n, n) operator stack, which the engine reads, and
+    holds E and C as views of it."""
 
     E: np.ndarray
     C: np.ndarray
     gamma_j: np.ndarray
+
+    def __post_init__(self) -> None:
+        S = _engine.stack_of(self.E[None], self.C[:, None])
+        vars(self).update(stack=S, E=S[0, 0], C=S[0, 1:])  # frozen: bypass __setattr__
+
+    def __reduce__(self):
+        """Copies and pickles are made anew from E, C and gamma_j, so that
+        their E and C are views of their own stack too."""
+        return type(self), (self.E, self.C, self.gamma_j)
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -66,15 +77,15 @@ def sphere_project(z: np.ndarray) -> np.ndarray:
 def estimate_membership(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """Softmin over lam * ||C_j z||: entries in [0,1], summing to one."""
     _engine.check_step(lam=lam)
-    _, C = layer.blocks
-    return _engine.membership(C @ np.reshape(z, (1, -1, 1)), lam).ravel()
+    CV = _engine.class_products(layer.stack, np.reshape(z, (1, -1, 1)))
+    return _engine.membership(CV, lam).ravel()
 
 
 def layer_increment(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """E z - sum_j gamma_j pihat_j(z) C_j z for a single feature vector."""
     _engine.check_step(lam=lam)
     V = np.reshape(z, (1, -1, 1))
-    return _engine.increment(V, *layer.blocks, layer.gamma_j, lam).ravel()
+    return _engine.increment(V, layer.stack, layer.gamma_j, lam).ravel()
 
 
 def _dense_layer(E: np.ndarray, C: np.ndarray, gamma: np.ndarray) -> DenseLayer:

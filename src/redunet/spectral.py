@@ -171,11 +171,23 @@ def lift_random_filters_2d(
 @dataclass(frozen=True)
 class SpectralLayer:
     """Per-frequency operators on the half spectrum: E_hat is (P', C, C),
-    C_hat is (k, P', C, C), with P' the representatives of the conjugate pairs."""
+    C_hat is (k, P', C, C), with P' the representatives of the conjugate pairs.
+    The layer copies both into ``stack``, its (P', 1 + k, C, C) operator
+    stack, which the engine reads, and holds E_hat and C_hat as views of it."""
 
     E_hat: np.ndarray
     C_hat: np.ndarray
     gamma_j: np.ndarray
+
+    def __post_init__(self) -> None:
+        S = _engine.stack_of(self.E_hat, self.C_hat)
+        E, C = _engine.views(S)
+        vars(self).update(stack=S, E_hat=E, C_hat=C)  # frozen: bypass __setattr__
+
+    def __reduce__(self):
+        """Copies and pickles are made anew from E_hat, C_hat and gamma_j, so
+        that their E_hat and C_hat are views of their own stack too."""
+        return type(self), (self.E_hat, self.C_hat, self.gamma_j)
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -401,10 +413,9 @@ def _cut_v1_layer(layer: SpectralLayer, full_index: np.ndarray,
     """A version-1 layer, stored on the full DFT grid, cut to the half
     spectrum at ``full_index``; operators at the self-conjugate frequencies
     ``real`` lose their imaginary part."""
-    E, C = layer.E_hat[full_index], layer.C_hat[:, full_index]
-    E.imag[real] = 0.0
-    C.imag[:, real] = 0.0
-    return SpectralLayer(E, C, layer.gamma_j)
+    S = layer.stack[full_index]
+    S.imag[real] = 0.0
+    return SpectralLayer(*_engine.views(S), layer.gamma_j)
 
 
 def load_invariant_model(path) -> InvariantModel:
@@ -427,8 +438,7 @@ def load_invariant_model(path) -> InvariantModel:
     if r.version == 1:
         full_index = np.ravel_multi_index(np.unravel_index(half.keep, half.shape), dims)
         layers = tuple(_cut_v1_layer(layer, full_index, half.real) for layer in layers)
-    elif any(np.any(block[..., half.real, :, :].imag != 0)
-             for layer in layers for block in layer.blocks):
+    elif any(np.any(layer.stack[half.real].imag != 0) for layer in layers):
         raise FormatError(f"{path}: an operator at a self-conjugate frequency is not real")
     return InvariantModel(
         kind=kind,

@@ -1,5 +1,7 @@
 """Dense network construction, replay, and the RNM1 container."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from redunet import (
     BadMagicError,
     DataError,
+    DenseLayer,
     Membership,
     NumericError,
     RateParams,
@@ -68,7 +71,7 @@ def _reference_forward(model, Z):
     """Each layer as one unblocked update: V + eta * increment(V), renormalized."""
     V = Z[None]
     for layer in model.layers:
-        V = V + model.eta * _engine.increment(V, *layer.blocks, layer.gamma_j, model.lam)
+        V = V + model.eta * _engine.increment(V, layer.stack, layer.gamma_j, model.lam)
         V = V / np.sqrt(_engine._sq_norms(V, "pax,pax->x"))
     return V[0]
 
@@ -113,6 +116,38 @@ def test_layer_operators_match_rate_reference():
             np.testing.assert_allclose(
                 Cj, compression_operator(Zl, Pi, j, params), rtol=0, atol=1e-12
             )
+
+
+def _in_one_stack(E, C, stack):
+    """E and C are disjoint views that together make up all of ``stack``."""
+    return (np.shares_memory(stack, E) and np.shares_memory(stack, C)
+            and stack.nbytes == E.nbytes + C.nbytes)
+
+
+@pytest.mark.parametrize("source", ["construct", "load_model", "deepcopy", "pickle"])
+def test_layer_operators_are_views_of_one_stack(tmp_path, source):
+    Z, Pi = _toy_problem(seed=10)
+    model, _, _ = construct(Z, Pi, L=2, eta=0.5, eps=0.3)
+    if source == "load_model":
+        save_model(tmp_path / "model.rnm", model)
+        model = load_model(tmp_path / "model.rnm")
+    elif source != "construct":
+        model = copy.deepcopy(model) if source == "deepcopy" else pickle.loads(pickle.dumps(model))
+    for layer in model.layers:
+        assert _in_one_stack(layer.E, layer.C, layer.stack)
+    before = forward(model, Z)
+    model.layers[1].E[...] *= 2.0
+    assert not np.allclose(forward(model, Z), before)
+
+
+def test_a_hand_built_layer_copies_its_arrays_into_its_own_stack():
+    Z, Pi = _toy_problem(seed=11)
+    model, _, _ = construct(Z, Pi, L=3, eta=0.5, eps=0.3)
+    layers = tuple(DenseLayer(la.E.copy(), la.C.copy(), la.gamma_j) for la in model.layers)
+    for la, lb in zip(model.layers, layers):
+        assert _in_one_stack(lb.E, lb.C, lb.stack)
+        assert not np.shares_memory(la.stack, lb.stack)
+    np.testing.assert_array_equal(forward(replace(model, layers=layers), Z), forward(model, Z))
 
 
 def test_construct_rejects_membership_of_another_sample_count():

@@ -1,5 +1,6 @@
 """Spectral-domain construction checked against explicit circulant algebra."""
 
+import copy
 import math
 import struct
 import tracemalloc
@@ -653,6 +654,49 @@ def test_a_version_1_model_loads_as_its_half_spectrum(tmp_path, dim):
     blob = (tmp_path / "v2.rns").read_bytes()
     assert struct.unpack_from("<I", blob, 4) == (2,)
     assert len(blob) < path.stat().st_size
+
+
+def _in_one_stack(E, C, stack):
+    """E and C are disjoint views that together make up all of ``stack``."""
+    return (np.shares_memory(stack, E) and np.shares_memory(stack, C)
+            and stack.nbytes == E.nbytes + C.nbytes)
+
+
+@pytest.mark.parametrize("dim, source", [("1d", "construct"), ("2d", "construct"),
+                                         ("2d", "version 2"), ("1d", "version 1"),
+                                         ("2d", "version 1"), ("2d", "deepcopy")])
+def test_layer_operators_are_views_of_one_stack(tmp_path, dim, source):
+    if dim == "1d":
+        Z, _, Pi = _samples_1d(seed=24, m=6, T=8)
+        model, _, _ = construct_inv1d(Z, Pi, L=2, eta=0.5, eps=0.1)
+        forward = forward_inv1d
+    else:
+        Z, _, Pi = _samples_2d(seed=24, m=6, H=4, W=5)
+        model, _, _ = construct_inv2d(Z, Pi, L=2, eta=0.5, eps=0.1)
+        forward = forward_inv2d
+    path = tmp_path / "model.rns"
+    if source == "deepcopy":
+        model = copy.deepcopy(model)
+    elif source != "construct":
+        (save_invariant_model if source == "version 2" else _write_v1)(path, model)
+        model = load_invariant_model(path)
+    for layer in model.layers:
+        assert _in_one_stack(layer.E_hat, layer.C_hat, layer.stack)
+    before = forward(model, Z)
+    model.layers[1].E_hat[...] *= 2.0
+    assert not np.allclose(forward(model, Z), before)
+
+
+def test_a_hand_built_layer_copies_its_arrays_into_its_own_stack():
+    Z, _, Pi = _samples_2d(seed=25, m=6, H=4, W=5)
+    model, _, _ = construct_inv2d(Z, Pi, L=3, eta=0.5, eps=0.1)
+    layers = tuple(SpectralLayer(la.E_hat.copy(), la.C_hat.copy(), la.gamma_j)
+                   for la in model.layers)
+    for la, lb in zip(model.layers, layers):
+        assert _in_one_stack(lb.E_hat, lb.C_hat, lb.stack)
+        assert not np.shares_memory(la.stack, lb.stack)
+    hand_built = type(model)(**{**vars(model), "layers": layers})
+    np.testing.assert_array_equal(forward_inv2d(hand_built, Z), forward_inv2d(model, Z))
 
 
 def test_a_version_2_operator_that_is_not_real_at_a_self_conjugate_frequency_is_rejected(
