@@ -45,15 +45,15 @@ pihat_j, eta and the sample norms) runs on the float64 view of the stack,
 where complex entries are (re, im) pairs along the sample axis and the
 per-sample factors are repeated to match; a real stack is its own view.
 
-A layer is any object with ``gamma_j`` and ``stack``, its (P, 1 + k, d, d)
-operator stack. The layers of :mod:`redunet.dense` and :mod:`redunet.spectral`
-copy the E and C they are made from into a new stack (:func:`stack_of`) and
-hold them as views of it, so writing through E or C changes the layer. The
-RNM1 and RNS1 containers store each layer class-major, E then C^1..C^k, each
-over every frequency: the stack transposed to (1 + k, P, d, d)
-(:func:`write_layers`). A layer read back (:func:`read_layers`) is made from
-views of that array, so its copy into a stack is the one transposition at
-load.
+A layer (:class:`Layer`) is its (P, 1 + k, d, d) operator stack and gamma_j;
+the layers of :mod:`redunet.dense` and :mod:`redunet.spectral` subclass it
+with E and C as views of the stack, so writing through them changes the
+layer. The engine and the loaders make each layer on its stack without a
+copy (:meth:`Layer.on`); only a layer built by hand from separate E and C
+copies them into a new stack. The RNM1 and RNS1 containers store each layer
+class-major, E then C^1..C^k, each over every frequency: the stack
+transposed to (1 + k, P, d, d) (:func:`write_layers`). :func:`read_layers`
+transposes it back once, which for a dense (P = 1) layer moves no data.
 """
 
 from __future__ import annotations
@@ -123,6 +123,21 @@ class LossCurve(Sequence):
         return list(self) == list(other)
 
 
+@dataclass(frozen=True, eq=False)
+class Layer:
+    """A layer as :func:`step` reads it: its operator stack and gamma_j."""
+
+    stack: np.ndarray
+    gamma_j: np.ndarray
+
+    @classmethod
+    def on(cls, stack: np.ndarray, gamma_j: np.ndarray) -> "Layer":
+        """A layer of this class on ``stack`` itself: no copy is made."""
+        layer = object.__new__(cls)
+        Layer.__init__(layer, stack, gamma_j)
+        return layer
+
+
 def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
     """The step rule every layer obeys: a finite step size eta > 0 and a
     finite softmin temperature lam >= 0."""
@@ -161,26 +176,20 @@ def rates(L: np.ndarray, share: np.ndarray, gamma: np.ndarray) -> tuple[float, f
     return R, Rc, R - Rc
 
 
-def operators(coef: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion (P, d, d) and compression (k, P, d, d) operators
-    a_j L^-H L^-1 from one inverse, one product and one scaling of the whole
-    factor stack; both are :func:`views` of that (P, 1 + k, d, d) stack."""
+def operators(coef: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The (P, 1 + k, d, d) operator stack a_j L^-H L^-1 from one inverse,
+    one product and one scaling of the whole factor stack: the expansion
+    operator E at row 0 and the compression operators C at rows 1..k."""
     Linv = np.linalg.inv(L)
     M = _herm(Linv) @ Linv
     M *= coef[:, None, None]
-    return views(M)
+    return M
 
 
 def views(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The expansion operators E = S[:, 0] (P, d, d) and the compression
     operators C (k, P, d, d) of a (P, 1 + k, d, d) stack, as views of it."""
     return S[:, 0], S[:, 1:].swapaxes(0, 1)
-
-
-def stack_of(E: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """A new contiguous (P, 1 + k, d, d) stack whose :func:`views` hold the
-    values of E (P, d, d) and C (k, P, d, d)."""
-    return np.concatenate((E[:, None], C.swapaxes(0, 1)), axis=1)
 
 
 def class_products(S: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -266,9 +275,9 @@ def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray
 def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: float,
               eps: float, lam: float, make_layer) -> tuple[list, np.ndarray, LossCurve]:
     """Build L layers from unit-norm samples with frequency shares ``share``.
-    ``make_layer(E, C, gamma)`` wraps the operators; the output is produced by :func:`step` on the
-    stored layer, exactly as :func:`forward` replays it. The loss curve
-    entry of each layer describes its input."""
+    ``make_layer(stack, gamma)`` makes each layer on the stack of :func:`operators`;
+    the output is produced by :func:`step` on the stored layer, exactly as
+    :func:`forward` replays it. The loss curve entry of each layer describes its input."""
     if L < 1:
         raise DataError("at least one layer is required")
     check_step(eta, lam)
@@ -285,7 +294,7 @@ def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: flo
         for i in range(L):
             coef, Lf = factor(V, share, Pi, params)
             curve[i] = rates(Lf, share, params.gamma_j)
-            layers.append(make_layer(*operators(coef, Lf), params.gamma_j))
+            layers.append(make_layer(operators(coef, Lf), params.gamma_j))
             V = step(V, layers[-1], eta, lam, i)
     return layers, V, LossCurve(curve)
 
@@ -311,13 +320,13 @@ def write_layers(path, header: bytes, layers, dtype: str) -> None:
 def read_layers(r, dtype: str, L: int, k: int, P: int, d: int, make_layer) -> tuple:
     """Inverse of :func:`write_layers` from a ContainerReader positioned after
     the header; the stream must end the file. Each layer is read as one
-    (1 + k, P, d, d) array and made by ``make_layer(E, C, gamma)`` from its
-    views E and C, as in :func:`construct`."""
+    (1 + k, P, d, d) array, and ``make_layer(stack, gamma)`` makes the layer
+    on its contiguous transpose: a view of it for P = 1, else its one copy."""
     if L < 1 or k < 1 or P * d == 0:
         raise ShapeError(f"{r.path}: a model needs a layer, a class and nonempty layer blocks")
     gamma = r.array("<f8", (k,))
     r.require(L * (1 + k) * P * d * d * np.dtype(dtype).itemsize)
     stacks = (r.array(dtype, (1 + k, P, d, d)) for _ in range(L))
-    layers = tuple(make_layer(M[0], M[1:], gamma) for M in stacks)
+    layers = tuple(make_layer(np.ascontiguousarray(M.swapaxes(0, 1)), gamma) for M in stacks)
     r.end()
     return layers

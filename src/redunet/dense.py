@@ -27,25 +27,22 @@ MODEL_MAGIC = b"RNM1"
 MODEL_VERSION = 1
 
 
-@dataclass(frozen=True)
-class DenseLayer:
-    """E is (n, n); C stacks the k compression operators as one (k, n, n)
-    array, which iterates class by class. The layer copies both into
-    ``stack``, its (1, 1 + k, n, n) operator stack, which the engine reads, and
-    holds E and C as views of it."""
+@dataclass(frozen=True, eq=False, init=False)
+class DenseLayer(_engine.Layer):
+    """E (n, n) and C, the k compression operators as one (k, n, n) array,
+    are views of the (1, 1 + k, n, n) stack. ``DenseLayer(E, C, gamma_j)``
+    copies them into a new stack; construction and loading make none."""
 
-    E: np.ndarray
-    C: np.ndarray
-    gamma_j: np.ndarray
+    def __init__(self, E: np.ndarray, C: np.ndarray, gamma_j: np.ndarray) -> None:
+        super().__init__(np.concatenate((E[None, None], C[None]), axis=1), gamma_j)
 
-    def __post_init__(self) -> None:
-        S = _engine.stack_of(self.E[None], self.C[:, None])
-        vars(self).update(stack=S, E=S[0, 0], C=S[0, 1:])  # frozen: bypass __setattr__
+    @property
+    def E(self) -> np.ndarray:
+        return self.stack[0, 0]
 
-    def __reduce__(self):
-        """Copies and pickles are made anew from E, C and gamma_j, so that
-        their E and C are views of their own stack too."""
-        return type(self), (self.E, self.C, self.gamma_j)
+    @property
+    def C(self) -> np.ndarray:
+        return self.stack[0, 1:]
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -74,22 +71,26 @@ def sphere_project(z: np.ndarray) -> np.ndarray:
     return z / norm
 
 
+def _features(X: np.ndarray, n: int) -> np.ndarray:
+    """X as a finite (n, m) feature matrix, m >= 1."""
+    Z = _check_features(X)
+    if Z.shape[0] != n:
+        raise ShapeError(f"expected {n} rows, got {Z.shape[0]}")
+    return Z
+
+
 def estimate_membership(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """Softmin over lam * ||C_j z||: entries in [0,1], summing to one."""
     _engine.check_step(lam=lam)
-    CV = _engine.class_products(layer.stack, np.reshape(z, (1, -1, 1)))
-    return _engine.membership(CV, lam).ravel()
+    V = _features(np.reshape(z, (-1, 1)), layer.stack.shape[-1])[None]
+    return _engine.membership(_engine.class_products(layer.stack, V), lam).ravel()
 
 
 def layer_increment(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """E z - sum_j gamma_j pihat_j(z) C_j z for a single feature vector."""
     _engine.check_step(lam=lam)
-    V = np.reshape(z, (1, -1, 1))
+    V = _features(np.reshape(z, (-1, 1)), layer.stack.shape[-1])[None]
     return _engine.increment(V, layer.stack, layer.gamma_j, lam).ravel()
-
-
-def _dense_layer(E: np.ndarray, C: np.ndarray, gamma: np.ndarray) -> DenseLayer:
-    return DenseLayer(E=E[0], C=C[:, 0], gamma_j=gamma)
 
 
 def construct(
@@ -107,7 +108,7 @@ def construct(
     """
     Z = _check_features(Z1)
     layers, V, curve = _engine.construct(Z[None], np.ones(1), Pi, L, eta, eps, lam,
-                                         _dense_layer)
+                                         DenseLayer.on)
     model = ReduNetModel(
         layers=tuple(layers), eta=eta, lam=lam, eps=eps, n=Z.shape[0], k=Pi.k
     )
@@ -117,9 +118,7 @@ def construct(
 def forward(model: ReduNetModel, X: np.ndarray) -> np.ndarray:
     """Apply the stored layers to new unit-norm feature columns."""
     single = np.ndim(X) == 1
-    Z = _check_features(np.reshape(X, (-1, 1)) if single else X)
-    if Z.shape[0] != model.n:
-        raise ShapeError(f"expected {model.n} rows, got {Z.shape[0]}")
+    Z = _features(np.reshape(X, (-1, 1)) if single else X, model.n)
     out = _engine.forward(Z[None], model.layers, model.eta, model.lam)[0]
     return out.ravel() if single else out
 
@@ -135,5 +134,5 @@ def load_model(path) -> ReduNetModel:
     with ContainerReader(path, MODEL_MAGIC, (MODEL_VERSION,)) as r:
         L, n, k, eta, lam, eps = r.unpack("<3I3d")
         _engine.check_step(eta, lam)
-        layers = _engine.read_layers(r, "<f8", L, k, 1, n, _dense_layer)
+        layers = _engine.read_layers(r, "<f8", L, k, 1, n, DenseLayer.on)
     return ReduNetModel(layers=layers, eta=eta, lam=lam, eps=eps, n=n, k=k)

@@ -168,30 +168,28 @@ def lift_random_filters_2d(
 # Spectral-domain model
 
 
-@dataclass(frozen=True)
-class SpectralLayer:
-    """Per-frequency operators on the half spectrum: E_hat is (P', C, C),
-    C_hat is (k, P', C, C), with P' the representatives of the conjugate pairs.
-    The layer copies both into ``stack``, its (P', 1 + k, C, C) operator
-    stack, which the engine reads, and holds E_hat and C_hat as views of it."""
+@dataclass(frozen=True, eq=False, init=False)
+class SpectralLayer(_engine.Layer):
+    """E_hat (P', C, C) and C_hat (k, P', C, C), P' the representatives of
+    the conjugate pairs, are views of the (P', 1 + k, C, C) stack.
+    ``SpectralLayer(E_hat, C_hat, gamma_j)`` copies them into a new stack;
+    construction and loading make none."""
 
-    E_hat: np.ndarray
-    C_hat: np.ndarray
-    gamma_j: np.ndarray
+    def __init__(self, E_hat: np.ndarray, C_hat: np.ndarray, gamma_j: np.ndarray) -> None:
+        super().__init__(np.concatenate((E_hat[:, None], C_hat.swapaxes(0, 1)), axis=1),
+                         gamma_j)
 
-    def __post_init__(self) -> None:
-        S = _engine.stack_of(self.E_hat, self.C_hat)
-        E, C = _engine.views(S)
-        vars(self).update(stack=S, E_hat=E, C_hat=C)  # frozen: bypass __setattr__
+    @property
+    def E_hat(self) -> np.ndarray:
+        return self.blocks[0]
 
-    def __reduce__(self):
-        """Copies and pickles are made anew from E_hat, C_hat and gamma_j, so
-        that their E_hat and C_hat are views of their own stack too."""
-        return type(self), (self.E_hat, self.C_hat, self.gamma_j)
+    @property
+    def C_hat(self) -> np.ndarray:
+        return self.blocks[1]
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.E_hat, self.C_hat
+        return _engine.views(self.stack)
 
 
 @dataclass(frozen=True)
@@ -327,7 +325,7 @@ def _construct_inv(
         raise ShapeError(f"expected (m, C, {', '.join(axes)}) input with m, C and extents >= 1")
     half = _HalfSpectrum.of(Zbar.shape[2:])
     layers, V, curve = _engine.construct(
-        _to_spectral(Zbar, half), half.share, Pi, L, eta, eps, lam, SpectralLayer)
+        _to_spectral(Zbar, half), half.share, Pi, L, eta, eps, lam, SpectralLayer.on)
     model = InvariantModel(
         kind=kind,
         layers=tuple(layers),
@@ -408,16 +406,6 @@ def save_invariant_model(path, model: InvariantModel) -> None:
     _engine.write_layers(path, header, model.layers, "<c16")
 
 
-def _cut_v1_layer(layer: SpectralLayer, full_index: np.ndarray,
-                  real: np.ndarray) -> SpectralLayer:
-    """A version-1 layer, stored on the full DFT grid, cut to the half
-    spectrum at ``full_index``; operators at the self-conjugate frequencies
-    ``real`` lose their imaginary part."""
-    S = layer.stack[full_index]
-    S.imag[real] = 0.0
-    return SpectralLayer(*_engine.views(S), layer.gamma_j)
-
-
 def load_invariant_model(path) -> InvariantModel:
     """Read RNS1 version 2, or version 1, whose full-spectrum layers are cut
     to the half spectrum. A version-2 operator that is not real at a
@@ -432,12 +420,14 @@ def load_invariant_model(path) -> InvariantModel:
         k, L, eta, lam, eps = r.unpack("<2I3d")
         _engine.check_step(eta, lam)
         P = math.prod(dims) if r.version == 1 else _HalfSpectrum.size(dims)
-        layers = _engine.read_layers(r, "<c16", L, k, P, channels, SpectralLayer)
+        layers = _engine.read_layers(r, "<c16", L, k, P, channels, SpectralLayer.on)
     # the grid is built only once the file has shown it holds the layers
     half = _HalfSpectrum.of(dims)
-    if r.version == 1:
+    if r.version == 1:  # cut each stack to the half spectrum, real where self-conjugate
         full_index = np.ravel_multi_index(np.unravel_index(half.keep, half.shape), dims)
-        layers = tuple(_cut_v1_layer(layer, full_index, half.real) for layer in layers)
+        layers = tuple(SpectralLayer.on(la.stack[full_index], la.gamma_j) for la in layers)
+        for layer in layers:
+            layer.stack.imag[half.real] = 0.0
     elif any(np.any(layer.stack[half.real].imag != 0) for layer in layers):
         raise FormatError(f"{path}: an operator at a self-conjugate frequency is not real")
     return InvariantModel(

@@ -1,7 +1,9 @@
 """The layer engine: its operator stack, the stacked class products, the
 flushed softmin and the file layout of the stack."""
 
+import pickle
 import struct
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,11 @@ import pytest
 from redunet import (
     Membership,
     construct,
+    construct_inv1d,
     construct_inv2d,
+    forward,
+    forward_inv1d,
+    forward_inv2d,
     load_invariant_model,
     load_model,
     normalize_samples_time,
@@ -18,6 +24,7 @@ from redunet import (
     save_model,
 )
 from redunet import _engine
+from redunet.tensorio import ContainerReader
 
 
 def _random(rng, shape, dtype):
@@ -131,3 +138,73 @@ def test_the_rns1_layer_stream_is_gamma_then_e_and_each_c(tmp_path):
     assert blob[header:] == _layer_stream(model, "<c16", "E_hat", "C_hat")
     save_invariant_model(tmp_path / "again.rns", load_invariant_model(path))
     assert (tmp_path / "again.rns").read_bytes() == blob
+
+
+_MAKERS = {"construct": (construct, forward), "construct_inv1d": (construct_inv1d, forward_inv1d),
+           "construct_inv2d": (construct_inv2d, forward_inv2d)}
+
+
+def _model(name, seed):
+    """A two-layer model made by ``name`` and the samples it was made from."""
+    rng = np.random.default_rng(seed)
+    if name == "construct":
+        X = rng.standard_normal((4, 9))
+        X /= np.linalg.norm(X, axis=0)
+    else:
+        X = normalize_samples_time(
+            rng.standard_normal((9, 2, 6) if name == "construct_inv1d" else (9, 2, 4, 5)))
+    Pi = Membership.from_labels(np.arange(9) % 3)
+    return _MAKERS[name][0](X, Pi, L=2, eta=0.5, eps=0.3)[0], X
+
+
+def _recorded(monkeypatch, owner, name):
+    """The results of every later call of ``owner.name``, in call order."""
+    results, call = [], getattr(owner, name)
+
+    def record(*args):
+        results.append(call(*args))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, record)
+    return results
+
+
+@pytest.mark.parametrize("source", ["construct", "construct_inv1d", "construct_inv2d",
+                                    "load_model"])
+def test_engine_and_loader_layers_sit_on_their_stack_without_a_copy(monkeypatch, tmp_path,
+                                                                    source):
+    if source == "load_model":
+        save_model(tmp_path / "model.rnm", _model("construct", 35)[0])
+        stacks = _recorded(monkeypatch, ContainerReader, "array")
+        model = load_model(tmp_path / "model.rnm")
+    else:
+        stacks = _recorded(monkeypatch, _engine, "operators")
+        model = _model(source, 35)[0]
+    # the last arrays made are the layers' stacks; a dense file's array is one too
+    for layer, stack in zip(model.layers, stacks[-model.depth:], strict=True):
+        assert np.shares_memory(layer.stack, stack)
+
+
+class _ClassAndOperators:
+    """Pickles as layers used to: ``__reduce__`` gives the layer class and
+    its (E, C, gamma_j), so unpickling calls the public constructor."""
+
+    def __init__(self, cls, E, C, gamma_j):
+        self.reduced = cls, (E, C, gamma_j)
+
+    def __reduce__(self):
+        return self.reduced
+
+
+@pytest.mark.parametrize("source", ["construct", "construct_inv2d"])
+def test_a_layer_pickled_as_its_class_and_operators_still_loads(source):
+    model, X = _model(source, 36)
+    E, C = ("E", "C") if source == "construct" else ("E_hat", "C_hat")
+    layers = tuple(pickle.loads(pickle.dumps(_ClassAndOperators(
+        type(la), getattr(la, E), getattr(la, C), la.gamma_j))) for la in model.layers)
+    for la, lb in zip(model.layers, layers):
+        assert type(lb) is type(la)
+        with pytest.raises(AttributeError):
+            setattr(lb, E, getattr(lb, E))
+    run = _MAKERS[source][1]
+    np.testing.assert_array_equal(run(replace(model, layers=layers), X), run(model, X))

@@ -156,10 +156,14 @@ def test_a_membership_of_no_samples_is_a_shape_error():
 def test_estimate_membership_rejects_a_nan_lambda():
     Z, y = _dense_problem()
     model, _, _ = construct(Z, Membership.from_labels(y), L=1, eta=0.5, eps=0.5)
+    z = Z[:, 0]
+    cases = [(z, lam, DataError) for lam in (NAN, -1.0, np.inf)]
+    cases += [(z[:2], 1.0, ShapeError), (np.append(z, 0.0), 1.0, ShapeError),
+              (_with_nan(z), 1.0, NumericError), (np.where(z == z[0], INF, z), 1.0, NumericError)]
     for fn in (estimate_membership, layer_increment):
-        for lam in (NAN, -1.0, np.inf):
-            with pytest.raises(DataError):
-                fn(Z[:, 0], model.layers[0], lam)
+        for v, lam, error in cases:
+            with pytest.raises(error):
+                fn(v, model.layers[0], lam)
 
 
 def test_construct_rejects_a_class_with_no_members():
