@@ -71,6 +71,19 @@ def test_gaussian_sphere_validates_spec():
                                                 means=2 * np.ones((2, 3))))
 
 
+def test_gaussian_sphere_means_must_be_k_by_n():
+    with pytest.raises(ShapeError):
+        gen_gaussian_sphere(GaussianMixtureSpec(n=3, k=2, m_per_class=5, sigma=0.1, seed=0,
+                                                means=np.eye(3)))
+
+
+@pytest.mark.parametrize("d_j, k, m_per_class", [(0, 2, 5), (2, 0, 5), (2, 2, 0)])
+def test_subspaces_need_positive_dimensions_and_counts(d_j, k, m_per_class):
+    with pytest.raises(DataError):
+        gen_orthogonal_subspaces(SubspaceSpec(n=10, k=k, d_j=d_j, m_per_class=m_per_class,
+                                              seed=0))
+
+
 def test_orthogonal_subspaces_have_zero_cross_class_cosines():
     Z, Pi = gen_orthogonal_subspaces(SubspaceSpec(n=20, k=4, d_j=3,
                                                   m_per_class=15, seed=5))
@@ -158,6 +171,11 @@ def test_translate2d_identity_and_wrap():
     img = np.random.default_rng(8).standard_normal((5, 7))
     np.testing.assert_array_equal(translate2d(img, 0, 0), img)
     np.testing.assert_array_equal(translate2d(img, 5, 7), img)
+
+
+def test_translate2d_of_a_1d_array_is_a_shape_error():
+    with pytest.raises(ShapeError):
+        translate2d(np.arange(5.0), 1, 1)
 
 
 def test_translate2d_group_law_and_multiset():

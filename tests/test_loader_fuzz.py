@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redunet import (
+    BadMagicError,
     DataError,
     FormatError,
     Membership,
@@ -216,6 +217,19 @@ def test_model_with_empty_layer_blocks_is_rejected(valid, tmp_path):
         path.write_bytes(data)
         with pytest.raises(ShapeError):
             LOADERS[name](path)
+
+
+@pytest.mark.parametrize("code", [0, 3, 255])
+def test_an_unknown_rns1_kind_is_bad_magic(valid, tmp_path, capsys, code):
+    blob, path = valid["rns1-1d"]
+    path.write_bytes(blob[:8] + bytes([code]) + blob[9:])  # the kind byte follows the version
+    with pytest.raises(BadMagicError):
+        load_invariant_model(path)
+    feats = tmp_path / "feats.rtf"
+    write_tensor(feats, Tensor.from_array(_training_input("rns1-1d")))
+    assert main(["forward-inv1d", "--model", str(path), "--features", str(feats),
+                 "--out", str(tmp_path / "out.rtf")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_exits_3_on_each_malformed_input(valid, tmp_path, capsys):

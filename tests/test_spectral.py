@@ -207,6 +207,12 @@ def test_lifting_rejects_empty_or_negative_sizes(C, K):
         lift_random_filters_2d(np.ones((2, 4, 4)), C=C, K=K, seed=0)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (2, 1, 4, 4)])
+def test_2d_lifting_needs_an_image_stack(shape):
+    with pytest.raises(ShapeError):
+        lift_random_filters_2d(np.ones(shape), C=2, K=3, seed=0)
+
+
 def test_spectral_rate_matches_circulant_family_rate():
     Z, labels, Pi = _samples_1d()
     T = Z.shape[2]

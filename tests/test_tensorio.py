@@ -73,6 +73,20 @@ def test_rank_out_of_range():
         Tensor(shape=(1, 1, 1, 1, 1), data=np.zeros(1))
 
 
+def test_an_unknown_dtype_code_is_rejected():
+    with pytest.raises(UnknownDtypeError):
+        Tensor(shape=(2,), data=np.zeros(2), dtype=7)
+
+
+@pytest.mark.parametrize("rank", [0, 5])
+def test_a_header_rank_outside_1_to_4_is_a_shape_error(tmp_path, rank):
+    path = tmp_path / "bad.rtf"
+    path.write_bytes(b"RTF1" + bytes([DTYPE_REAL64, rank]) + struct.pack(f"<{rank}Q", *[1] * rank)
+                     + bytes(8))
+    with pytest.raises(ShapeError):
+        read_tensor(path)
+
+
 def test_element_count_mismatch():
     with pytest.raises(ShapeError):
         Tensor(shape=(2, 3), data=np.zeros(5))
