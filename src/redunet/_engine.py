@@ -22,7 +22,7 @@ where an empty class has alpha_j = 0, so its block is the identity. The
 s-weighted log-diagonal of that factor gives the loss-curve entry, and its
 inverse gives the operators a_j A_j^-1 = a_j L^-H L^-1, built and scaled as
 one stack of the same shape: the expansion operator E is its row 0 and the
-compression operators C its rows 1..k, both views of it (:func:`views`).
+compression operators C its rows 1..k, both views of it.
 Each frequency's k class operators are thus one contiguous (k d, d) matrix,
 so the class products C_j V of all classes are one matrix product per
 frequency (:func:`class_products`), read by the softmin and the weighted
@@ -34,9 +34,9 @@ reference the engine is tested against.
 
 The update of a sample depends on that sample alone: its increment and its
 softmin membership read only its own column. :func:`step` therefore takes
-the update on blocks of samples, sized so that one block's (P, k, d, b)
-class products C_j V fit in STEP_BLOCK_BYTES (:func:`samples_per_block`,
-the one reader of that budget). Construction and the dense forward hold the
+the update on blocks of samples, sized from the layer's operator stack so
+that one block's (P, k, d, b) class products C_j V fit in STEP_BLOCK_BYTES
+(:func:`samples_per_block`, the one reader of that budget). Construction and the dense forward hold the
 batch, its update and one block, not k copies of the batch; the invariant
 forward takes each block through every layer in turn, so it holds its
 input, its output and one block.
@@ -186,12 +186,6 @@ def operators(coef: np.ndarray, L: np.ndarray) -> np.ndarray:
     return M
 
 
-def views(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The expansion operators E = S[:, 0] (P, d, d) and the compression
-    operators C (k, P, d, d) of a (P, 1 + k, d, d) stack, as views of it."""
-    return S[:, 0], S[:, 1:].swapaxes(0, 1)
-
-
 def class_products(S: np.ndarray, V: np.ndarray) -> np.ndarray:
     """C_j V for every class of the stack S as one (P, k, d, b) block, from V
     (P, d, b): per frequency, one product of the k class operators, a (k d, d)
@@ -233,10 +227,13 @@ def increment(V: np.ndarray, S: np.ndarray, gamma: np.ndarray, lam: float) -> np
     return dV
 
 
-def samples_per_block(k: int, P: int, d: int, itemsize: int) -> int:
+def samples_per_block(S: np.ndarray) -> int:
     """The most samples b, at least one, whose (P, k, d, b) class products
-    C_j V of ``itemsize`` bytes an entry fit in STEP_BLOCK_BYTES."""
-    return max(1, STEP_BLOCK_BYTES // max(1, k * P * d * itemsize))
+    C_j V fit in STEP_BLOCK_BYTES, sized from the (P, 1 + k, d, d) operator
+    stack S and its itemsize. A real stack built by hand for complex V gets
+    blocks twice the budget: more memory, the same values."""
+    P, k1, d, _ = S.shape
+    return max(1, STEP_BLOCK_BYTES // max(1, (k1 - 1) * P * d * S.itemsize))
 
 
 def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray:
@@ -249,15 +246,14 @@ def step(V: np.ndarray, layer, eta: float, lam: float, index: int) -> np.ndarray
     the sample norms and one divides by them. Every scaling by a real factor
     (weights, eta, norms) runs on the float64 views, so a complex stack is
     never multiplied or divided as complex; the sum V + eta * increment is a
-    plain add. A batch that fits one block, m * k * P * d * itemsize <=
-    STEP_BLOCK_BYTES, gets the values of the unblocked update bit for bit: the
-    same operations run on the same operands. A zero or non-finite norm raises
+    plain add. A batch of at most ``samples_per_block(layer.stack)`` samples
+    gets the values of the unblocked update bit for bit: the same operations
+    run on the same operands. A zero or non-finite norm raises
     NumericError naming the layer, so callers silence numpy's warnings."""
     S = layer.stack
-    P, d, m = V.shape
     out = np.empty(V.shape, np.result_type(V, S))
-    b = samples_per_block(len(layer.gamma_j), P, d, out.itemsize)
-    for start in range(0, m, b):
+    b = samples_per_block(S)
+    for start in range(0, V.shape[-1], b):
         cols = np.s_[..., start:start + b]
         dV = increment(V[cols], S, layer.gamma_j, lam)
         dVr = _real(dV)

@@ -45,8 +45,7 @@ INV_VERSION = 2
 
 KIND_SHIFT1D = "shift1d"
 KIND_TRANSLATE2D = "translate2d"
-_KIND_CODES = {KIND_SHIFT1D: 1, KIND_TRANSLATE2D: 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# each kind's signal axes; its RNS1 kind code is 1 + its index here, which is its number of axes
 _KIND_AXES = {KIND_SHIFT1D: ("T",), KIND_TRANSLATE2D: ("H", "W")}
 
 
@@ -181,15 +180,15 @@ class SpectralLayer(_engine.Layer):
 
     @property
     def E_hat(self) -> np.ndarray:
-        return self.blocks[0]
+        return self.stack[:, 0]
 
     @property
     def C_hat(self) -> np.ndarray:
-        return self.blocks[1]
+        return self.stack[:, 1:].swapaxes(0, 1)
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        return _engine.views(self.stack)
+        return self.E_hat, self.C_hat
 
 
 @dataclass(frozen=True)
@@ -237,6 +236,7 @@ class _HalfSpectrum:
     dropped, partner: grid indices of the dropped entries and of their conjugates.
     """
 
+    dims: tuple[int, ...]
     shape: tuple[int, ...]
     keep: np.ndarray
     w: np.ndarray
@@ -254,7 +254,7 @@ class _HalfSpectrum:
         index = np.arange(conj.size)
         keep = conj >= index
         w = np.where(edge & (conj == index), 1.0, 2.0)
-        return cls(shape, np.flatnonzero(keep), w[keep], np.flatnonzero(~keep), conj[~keep])
+        return cls(tuple(dims), shape, np.flatnonzero(keep), w[keep], np.flatnonzero(~keep), conj[~keep])
 
     @staticmethod
     def size(dims: tuple[int, ...]) -> int:
@@ -275,12 +275,10 @@ class _HalfSpectrum:
         return self.w == 1
 
 
-def _to_spectral(Zbar: np.ndarray, half: _HalfSpectrum | None = None) -> np.ndarray:
-    """(m, C, *dims) real -> (P, C, m) sqrt(w)-scaled unitary half spectra,
-    exactly real at self-conjugate frequencies. ``half`` is the half spectrum
-    of ``dims``, built here if not given."""
-    m, C, *dims = Zbar.shape
-    half = _HalfSpectrum.of(tuple(dims)) if half is None else half
+def _to_spectral(Zbar: np.ndarray, half: _HalfSpectrum) -> np.ndarray:
+    """(m, C, *half.dims) real -> (P, C, m) sqrt(w)-scaled unitary spectra at
+    the representatives of ``half``, exactly real at self-conjugate frequencies."""
+    m, C = Zbar.shape[:2]
     V = np.fft.rfftn(Zbar, axes=range(2, Zbar.ndim), norm="ortho").reshape(m, C, -1).T
     V = np.ascontiguousarray(V[half.keep])
     Vr = _engine._real(V)
@@ -289,13 +287,11 @@ def _to_spectral(Zbar: np.ndarray, half: _HalfSpectrum | None = None) -> np.ndar
     return V
 
 
-def _from_spectral(V: np.ndarray, dims: tuple[int, ...],
-                   half: _HalfSpectrum | None = None) -> np.ndarray:
-    """Inverse of :func:`_to_spectral`: (P, C, m) -> (m, C, *dims) real.
+def _from_spectral(V: np.ndarray, half: _HalfSpectrum) -> np.ndarray:
+    """Inverse of :func:`_to_spectral`: (P, C, m) -> (m, C, *half.dims) real.
     The grid is filled, then divided in place by sqrt(w) of each entry's
     representative (the dropped entries' partners all have w = 2)."""
     P, C, m = V.shape
-    half = _HalfSpectrum.of(dims) if half is None else half
     grid = np.empty((math.prod(half.shape), C, m), dtype=complex)
     grid[half.keep] = V
     grid[half.dropped] = grid[half.partner].conj()
@@ -304,7 +300,7 @@ def _from_spectral(V: np.ndarray, dims: tuple[int, ...],
     grid_r = _engine._real(grid)
     grid_r /= sqrt_w[:, None, None]
     grid = grid.T.reshape(m, C, *half.shape)
-    return np.fft.irfftn(grid, s=dims, axes=range(2, grid.ndim), norm="ortho")
+    return np.fft.irfftn(grid, s=half.dims, axes=range(2, grid.ndim), norm="ortho")
 
 
 def normalize_samples_time(Zbar: np.ndarray) -> np.ndarray:
@@ -336,7 +332,7 @@ def _construct_inv(
         dims=Zbar.shape[2:],
         k=Pi.k,
     )
-    return model, _from_spectral(V, model.dims, half), curve
+    return model, _from_spectral(V, half), curve
 
 
 def construct_inv1d(
@@ -366,13 +362,12 @@ def _forward_inv(kind: str, model: InvariantModel, Zbar: np.ndarray) -> np.ndarr
         raise ShapeError(f"expected (m, {', '.join(map(str, expected))}) input with m >= 1, "
                          f"got {Zbar.shape}")
     half = _HalfSpectrum.of(model.dims)
-    b = _engine.samples_per_block(model.k, len(half.keep), model.channels,
-                                  np.dtype(complex).itemsize)
+    b = _engine.samples_per_block(model.layers[0].stack) if model.layers else len(Zbar)
     out = np.empty(Zbar.shape)
     for start in range(0, len(Zbar), b):
         rows = np.s_[start:start + b]
         V = _engine.forward(_to_spectral(Zbar[rows], half), model.layers, model.eta, model.lam)
-        out[rows] = _from_spectral(V, model.dims, half)
+        out[rows] = _from_spectral(V, half)
     return out
 
 
@@ -401,7 +396,7 @@ def save_invariant_model(path, model: InvariantModel) -> None:
     """RNS1 version 2: the operators at the representative frequencies of the
     half spectrum, complex entries stored as interleaved re/im float64."""
     header = INV_MAGIC + struct.pack(
-        f"<IBI{len(model.dims)}I2I3d", INV_VERSION, _KIND_CODES[model.kind], model.channels,
+        f"<IBI{len(model.dims)}I2I3d", INV_VERSION, len(_KIND_AXES[model.kind]), model.channels,
         *model.dims, model.k, model.depth, model.eta, model.lam, model.eps)
     _engine.write_layers(path, header, model.layers, "<c16")
 
@@ -411,10 +406,10 @@ def load_invariant_model(path) -> InvariantModel:
     to the half spectrum. A version-2 operator that is not real at a
     self-conjugate frequency raises FormatError."""
     with ContainerReader(path, INV_MAGIC, (1, INV_VERSION)) as r:
-        (kind_code,) = r.unpack("<B")
-        if kind_code not in _KIND_NAMES:
-            raise BadMagicError(f"{path}: unknown model kind {kind_code}")
-        kind = _KIND_NAMES[kind_code]
+        (code,) = r.unpack("<B")
+        if not 1 <= code <= len(_KIND_AXES):
+            raise BadMagicError(f"{path}: unknown model kind {code}")
+        kind = list(_KIND_AXES)[code - 1]
         (channels,) = r.unpack("<I")
         dims = r.unpack(f"<{len(_KIND_AXES[kind])}I")
         k, L, eta, lam, eps = r.unpack("<2I3d")

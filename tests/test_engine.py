@@ -95,7 +95,7 @@ def test_a_step_whose_last_block_is_narrower_is_the_per_class_loop(monkeypatch, 
     gamma = rng.uniform(0.1, 1.0, k)
     itemsize = np.dtype(dtype).itemsize
     monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", b * k * P * d * itemsize)
-    assert _engine.samples_per_block(k, P, d, itemsize) == b
+    assert _engine.samples_per_block(S) == b
     out = _engine.step(V, SimpleNamespace(stack=S, gamma_j=gamma), 0.5, 3.0, 0)
     expected = V + 0.5 * _naive_increment(V, S, gamma, 3.0)
     expected /= np.sqrt(np.sum(np.abs(expected) ** 2, axis=(0, 1)))

@@ -375,8 +375,9 @@ def test_block_major_forward_is_the_batch_major_engine_run(monkeypatch, m, lam):
              _samples_2d(seed=31, m=m, C=2, H=5, W=6)[0])):
         model, _, _ = build(Z, Pi, L=3, eta=0.5, eps=0.5, lam=lam)
         monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model, 4))
-        V = _engine.forward(spectral._to_spectral(new), model.layers, model.eta, model.lam)
-        assert np.array_equal(run(model, new), spectral._from_spectral(V, model.dims))
+        half = _HalfSpectrum.of(model.dims)
+        V = _engine.forward(spectral._to_spectral(new, half), model.layers, model.eta, model.lam)
+        assert np.array_equal(run(model, new), spectral._from_spectral(V, half))
 
 
 def _forward_peak_above_output(model, batch):
@@ -576,9 +577,9 @@ def test_half_spectrum_keeps_one_frequency_per_conjugate_pair(dims):
     assert np.array_equal(rep == conj, half.real)
     rng = np.random.default_rng(15)
     Z = rng.standard_normal((3, 2, *dims))
-    V = spectral._to_spectral(Z)
+    V = spectral._to_spectral(Z, half)
     assert not np.any(V.imag[half.real])
-    np.testing.assert_allclose(spectral._from_spectral(V, dims), Z, atol=1e-12)
+    np.testing.assert_allclose(spectral._from_spectral(V, half), Z, atol=1e-12)
     assert np.sum(np.abs(V) ** 2) == pytest.approx(np.sum(Z**2))
 
 
