@@ -138,6 +138,16 @@ class Layer:
         return layer
 
 
+def check_operators(E, C, gamma_j, nf: int) -> None:
+    """The shapes a hand-built layer needs: E (*F, d, d), C (k, *F, d, d) and
+    gamma_j (k,) with k >= 1, where F are nf frequency axes (none if dense)."""
+    e, c, g = np.shape(E), np.shape(C), np.shape(gamma_j)
+    if not (len(e) == nf + 2 and e[-2] == e[-1] and len(g) == 1 and g[0] >= 1 and c == g + e):
+        F = "P, " * nf
+        raise ShapeError(f"need E ({F}d, d), C (k, {F}d, d) and gamma_j (k,) with k >= 1, "
+                         f"got {e}, {c} and {g}")
+
+
 def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
     """The step rule every layer obeys: a finite step size eta > 0 and a
     finite softmin temperature lam >= 0."""

@@ -15,14 +15,29 @@ from .errors import DataError, EmptyClassError, ShapeError
 from .rate import Membership, _check_features, check_labels
 
 RANK_TOL = 1e-10
+BASIS_ORTHO_TOL = 1e-8  # largest |U^T U - I|; fit_nsc's SVD bases are orthonormal to about 1e-15
 
 
 @dataclass(frozen=True)
 class SubspaceClassifier:
-    """Per-class means (k, n) and orthonormal bases, one (n, r_j) each."""
+    """Per-class means (k, n) and orthonormal bases, one (n, r_j) each,
+    checked at construction because the residual formula of :func:`predict_nsc`
+    needs them: k >= 1, all finite, n rows, r_j <= n and |U^T U - I| <= 1e-8."""
 
     means: np.ndarray
     bases: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        k, n = _check_features(self.means).shape
+        if k == 0 or len(self.bases) != k:
+            raise DataError(f"need k >= 1 class means and one basis each, got {k} means "
+                            f"and {len(self.bases)} bases")
+        for j, U in enumerate(map(np.asarray, self.bases)):
+            if U.ndim != 2 or U.shape[0] != n or U.shape[1] > n or not np.all(np.isfinite(U)):
+                raise DataError(f"basis {j} must be a finite matrix with {n} rows and at most "
+                                f"{n} columns, got shape {U.shape}")
+            if np.max(np.abs(U.T @ U - np.eye(U.shape[1])), initial=0.0) > BASIS_ORTHO_TOL:
+                raise DataError(f"basis {j} is not orthonormal")
 
     @property
     def k(self) -> int:

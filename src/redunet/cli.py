@@ -33,7 +33,7 @@ from .datagen import (
 )
 from .dense import construct, forward, load_model, save_model
 from .errors import DataError, NumericError
-from .rate import Membership, _check_features, check_labels, rate_reduction
+from .rate import Membership, check_labels, rate_reduction
 from .spectral import (
     construct_inv1d,
     construct_inv2d,
@@ -50,10 +50,6 @@ from .tensorio import Tensor, read_idx, read_tensor, write_tensor
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-# largest |U^T U - I| accepted in an nsc bundle basis; fit_nsc's SVD bases
-# are orthonormal to about 1e-15
-BASIS_ORTHO_TOL = 1e-8
 
 
 def _write_manifest(args: argparse.Namespace, first_output: str) -> None:
@@ -204,21 +200,11 @@ def _cmd_nsc_fit(args) -> str:
 
 def _load_nsc_bundle(path: str) -> SubspaceClassifier:
     """means.rtf (k, n), then basis_j.rtf (n, r_j) for each class; the
-    bundle's manifest.txt is informational and not read. Each basis must be
-    orthonormal, which the residual formula of predict_nsc assumes."""
+    bundle's manifest.txt is informational and not read. SubspaceClassifier
+    checks what was read."""
     bundle = Path(path)
-    means = _check_features(read_tensor(bundle / "means.rtf").to_array())
-    n = means.shape[1]
-    if len(means) == 0:
-        raise DataError(f"{path}: means.rtf holds no class")
+    means = read_tensor(bundle / "means.rtf").to_array()
     bases = tuple(read_tensor(bundle / f"basis_{j}.rtf").to_array() for j in range(len(means)))
-    for j, U in enumerate(bases):
-        if U.ndim != 2 or U.shape[0] != n or not np.all(np.isfinite(U)):
-            raise DataError(f"{path}: basis_{j} must be a finite matrix with {n} rows")
-        if U.shape[1] > n:
-            raise DataError(f"{path}: basis_{j} has {U.shape[1]} columns, more than its {n} rows")
-        if np.max(np.abs(U.T @ U - np.eye(U.shape[1])), initial=0.0) > BASIS_ORTHO_TOL:
-            raise DataError(f"{path}: basis_{j} is not orthonormal")
     return SubspaceClassifier(means=means, bases=bases)
 
 

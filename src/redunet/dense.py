@@ -31,9 +31,11 @@ MODEL_VERSION = 1
 class DenseLayer(_engine.Layer):
     """E (n, n) and C, the k compression operators as one (k, n, n) array,
     are views of the (1, 1 + k, n, n) stack. ``DenseLayer(E, C, gamma_j)``
-    copies them into a new stack; construction and loading make none."""
+    copies them into a new stack, after checking their shapes against
+    gamma_j (k,); construction and loading make no copy."""
 
     def __init__(self, E: np.ndarray, C: np.ndarray, gamma_j: np.ndarray) -> None:
+        _engine.check_operators(E, C, gamma_j, 0)
         super().__init__(np.concatenate((E[None, None], C[None]), axis=1), gamma_j)
 
     @property

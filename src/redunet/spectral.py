@@ -171,10 +171,12 @@ def lift_random_filters_2d(
 class SpectralLayer(_engine.Layer):
     """E_hat (P', C, C) and C_hat (k, P', C, C), P' the representatives of
     the conjugate pairs, are views of the (P', 1 + k, C, C) stack.
-    ``SpectralLayer(E_hat, C_hat, gamma_j)`` copies them into a new stack;
-    construction and loading make none."""
+    ``SpectralLayer(E_hat, C_hat, gamma_j)`` copies them into a new stack,
+    after checking their shapes against gamma_j (k,); construction and
+    loading make no copy."""
 
     def __init__(self, E_hat: np.ndarray, C_hat: np.ndarray, gamma_j: np.ndarray) -> None:
+        _engine.check_operators(E_hat, C_hat, gamma_j, 1)
         super().__init__(np.concatenate((E_hat[:, None], C_hat.swapaxes(0, 1)), axis=1),
                          gamma_j)
 

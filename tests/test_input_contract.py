@@ -12,12 +12,15 @@ import pytest
 
 from redunet import (
     DataError,
+    DenseLayer,
     EmptyClassError,
     GaussianMixtureSpec,
     Membership,
     NumericError,
     RateParams,
     ShapeError,
+    SpectralLayer,
+    SubspaceClassifier,
     Tensor,
     augment_shifts,
     coding_rate_partitioned,
@@ -249,6 +252,61 @@ def test_classifier_inputs_must_be_finite_feature_matrices():
         cosine_similarity_matrix(_with_nan(Z))
     with pytest.raises(ShapeError):
         cosine_similarity_matrix(Z[0])
+
+
+# hand-built (E, C, gamma_j) made from the operators of a k = 2 layer
+BAD_OPERATORS = {
+    "short gamma": lambda E, C, g: (E, C, g[:1]),
+    "gamma as a row": lambda E, C, g: (E, C, g[None]),
+    "C of another d": lambda E, C, g: (E, C[..., :1, :1], g),
+    "C of another P or n": lambda E, C, g: (E, C[:, :-1], g),
+    "non-square E and C": lambda E, C, g: (E[..., :1], C[..., :1], g),
+    "E with an extra axis": lambda E, C, g: (E[None], C, g),
+    "no class": lambda E, C, g: (E, C[:0], g[:0]),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_OPERATORS)
+@pytest.mark.parametrize("kind", ["dense", "spectral"])
+def test_a_hand_built_layer_checks_its_operator_shapes(kind, bad):
+    if kind == "dense":
+        Z, y = _dense_problem()
+        layer = construct(Z, Membership.from_labels(y), L=1, eta=0.5, eps=0.5)[0].layers[0]
+        cls, operators = DenseLayer, (layer.E, layer.C, layer.gamma_j)
+    else:
+        X, y = _signal_problem()
+        layer = construct_inv1d(X, Membership.from_labels(y), L=1, eta=0.5, eps=0.5)[0].layers[0]
+        cls, operators = SpectralLayer, (layer.E_hat, layer.C_hat, layer.gamma_j)
+    cls(*operators)
+    with pytest.raises(ShapeError):
+        cls(*BAD_OPERATORS[bad](*operators))
+
+
+# bases for the means zeros((2, 2)); the first is the non-orthonormal
+# pair under which predict_nsc used to put z = (1, 1.5) in class 0
+BAD_BASES = {
+    "scaled": (np.array([[2.0], [0.0]]), np.array([[0.0], [1.0]])),
+    "skewed": (np.array([[1.0, 0.6], [0.0, 0.8]]), np.eye(2)),
+    "non-finite": (np.array([[NAN], [0.0]]), np.eye(2)),
+    "three rows": (np.zeros((3, 1)), np.eye(2)),
+    "wider than tall": (np.eye(2, 3), np.eye(2)),
+    "a vector": (np.array([1.0, 0.0]), np.eye(2)),
+    "one basis for two classes": (np.eye(2),),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_BASES)
+def test_a_classifier_needs_one_orthonormal_basis_of_n_rows_per_class(bad):
+    SubspaceClassifier(means=np.zeros((2, 2)), bases=(np.eye(2, 1), np.zeros((2, 0))))
+    with pytest.raises(DataError):
+        SubspaceClassifier(means=np.zeros((2, 2)), bases=BAD_BASES[bad])
+
+
+def test_a_classifier_needs_finite_means_of_at_least_one_class():
+    with pytest.raises(DataError):
+        SubspaceClassifier(means=np.zeros((0, 2)), bases=())
+    with pytest.raises(NumericError):
+        SubspaceClassifier(means=_with_nan(np.zeros((2, 2))), bases=(np.eye(2), np.eye(2)))
 
 
 @pytest.mark.parametrize("sigma", [NAN, INF])
