@@ -36,10 +36,10 @@ The update of a sample depends on that sample alone: its increment and its
 softmin membership read only its own column. :func:`step` therefore takes
 the update on blocks of samples, sized from the layer's operator stack so
 that one block's (P, k, d, b) class products C_j V fit in STEP_BLOCK_BYTES
-(:func:`samples_per_block`, the one reader of that budget). Construction and the dense forward hold the
-batch, its update and one block, not k copies of the batch; the invariant
-forward takes each block through every layer in turn, so it holds its
-input, its output and one block.
+(:func:`samples_per_block`, the one reader of that budget). Construction
+and the dense forward hold the batch, its update and one block, not k
+copies of the batch; the invariant forward takes each block through every
+layer in turn, so it holds its input, its output and one block.
 Every scaling by a real factor in the update (the class weights gamma_j
 pihat_j, eta and the sample norms) runs on the float64 view of the stack,
 where complex entries are (re, im) pairs along the sample axis and the
@@ -50,7 +50,8 @@ the layers of :mod:`redunet.dense` and :mod:`redunet.spectral` subclass it
 with E and C as views of the stack, so writing through them changes the
 layer. The engine and the loaders make each layer on its stack without a
 copy (:meth:`Layer.on`); only a layer built by hand from separate E and C
-copies them into a new stack. The RNM1 and RNS1 containers store each layer
+copies them into a new stack, once :func:`check_operators` has checked
+their shapes. The RNM1 and RNS1 containers store each layer
 class-major, E then C^1..C^k, each over every frequency: the stack
 transposed to (1 + k, P, d, d) (:func:`write_layers`). :func:`read_layers`
 transposes it back once, which for a dense (P = 1) layer moves no data.

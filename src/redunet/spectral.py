@@ -256,7 +256,8 @@ class _HalfSpectrum:
         index = np.arange(conj.size)
         keep = conj >= index
         w = np.where(edge & (conj == index), 1.0, 2.0)
-        return cls(tuple(dims), shape, np.flatnonzero(keep), w[keep], np.flatnonzero(~keep), conj[~keep])
+        return cls(tuple(dims), shape, np.flatnonzero(keep), w[keep], np.flatnonzero(~keep),
+                   conj[~keep])
 
     @staticmethod
     def size(dims: tuple[int, ...]) -> int:
