@@ -3,6 +3,16 @@
 Each class is summarized by its mean and the top principal directions of its
 centered features; a query is assigned to the class whose affine subspace
 leaves the smallest residual.
+
+The principal directions of a centered n x m_j class block C come from the
+eigendecomposition of its Gram matrix on the smaller side: C C^T (n x n)
+when n <= m_j, whose eigenvectors are the basis, and C^T C (m_j x m_j)
+otherwise, whose eigenvectors W give the basis C W / s after one Cholesky
+re-orthonormalisation. The Gram squares the singular values s, so it
+resolves a direction only while s stays well above sqrt(eps) s_0. Where it
+cannot (a non-finite or subnormal Gram, or a kept singular value below
+GRAM_TOL s_0, which every rank-deficient block has) the block's thin SVD
+gives the basis instead.
 """
 
 from __future__ import annotations
@@ -11,11 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyClassError, ShapeError
+from .errors import DataError, EmptyClassError, NumericError, ShapeError
 from .rate import Membership, _check_features, check_labels
 
 RANK_TOL = 1e-10
-BASIS_ORTHO_TOL = 1e-8  # largest |U^T U - I|; fit_nsc's SVD bases are orthonormal to about 1e-15
+# smallest kept s_q / s_0 the Gram path accepts; its eigenvalues carry an error
+# of about eps s_0^2, so s_q keeps about 10 digits and the basis about as many
+GRAM_TOL = 1e-3
+BASIS_ORTHO_TOL = 1e-8  # largest |U^T U - I|; fit_nsc's bases are orthonormal to about 1e-15
 
 
 @dataclass(frozen=True)
@@ -51,9 +64,18 @@ class SubspaceClassifier:
 def fit_nsc(Z: np.ndarray, labels: np.ndarray, r: int = 30) -> SubspaceClassifier:
     """Fit per-class subspaces from n x m features and integer labels.
 
-    Each basis keeps at most ``r`` left singular vectors of the centered
-    class block, never more than its numerical rank (singular values below
-    1e-10 of the largest are treated as zero).
+    Each basis keeps the top ``min(r, n, m_j)`` principal directions of the
+    centered class block, from the eigenvectors of its Gram matrix on the
+    smaller side (see the module docstring). When the Gram cannot resolve
+    them, the basis is the block's top left singular vectors instead, at
+    most ``r`` of them and never more than the block's numerical rank
+    (singular values below RANK_TOL of the largest are treated as zero).
+    Where the spectrum has a gap after the kept values, the two span the
+    same subspace to about 1e-10.
+
+    The columns are gathered once in stable class order, so each class is a
+    view of one copy of Z, centered in place; classes 0, 1, ... must each
+    have a sample, up to the largest label.
     """
     Z = _check_features(Z)
     labels = check_labels(labels)
@@ -61,18 +83,44 @@ def fit_nsc(Z: np.ndarray, labels: np.ndarray, r: int = 30) -> SubspaceClassifie
         raise ShapeError(f"{Z.shape[1]} feature columns but {labels.size} labels")
     if r < 0:
         raise DataError("subspace dimension must be nonnegative")
-    means, bases, fitted = [], [], 0
-    while fitted < labels.size:  # classes 0, 1, ... until every sample is used
-        block = Z[:, labels == len(means)]
-        if block.shape[1] == 0:
-            raise EmptyClassError(f"class {len(means)} has no training samples")
-        fitted += block.shape[1]
-        mu = block.mean(axis=1)
-        means.append(mu)
-        U, s, _ = np.linalg.svd(block - mu[:, None], full_matrices=False)
-        rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-        bases.append(np.ascontiguousarray(U[:, : min(r, rank)]))
-    return SubspaceClassifier(means=np.array(means), bases=tuple(bases))
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    missing = np.flatnonzero(labels[order[starts]] != np.arange(starts.size))
+    if missing.size:
+        raise EmptyClassError(f"class {missing[0]} has no training samples")
+    Z = Z[:, order]
+    means, bases = np.empty((starts.size, Z.shape[0])), []
+    for j, block in enumerate(np.split(Z, starts[1:], axis=1)):
+        means[j] = block.mean(axis=1)
+        block -= means[j][:, None]
+        bases.append(_principal_basis(block, r))
+    return SubspaceClassifier(means=means, bases=tuple(bases))
+
+
+def _principal_basis(C: np.ndarray, r: int) -> np.ndarray:
+    """Top principal directions of the centered n x m_j block C, as an
+    orthonormal n x q matrix: from the Gram matrix on the smaller side when
+    its q-th kept eigenvalue, q = min(r, n, m_j), is a normal number of at
+    least GRAM_TOL^2 times the largest, else from the thin SVD."""
+    n, m = C.shape
+    q = min(r, n, m)
+    if q:
+        tall = n > m
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = C.T @ C if tall else C @ C.T
+        if np.all(np.isfinite(G)):
+            w, W = np.linalg.eigh(G)
+            # eigenvectors of the q largest eigenvalues, descending, contiguous for BLAS
+            top = np.ascontiguousarray(W[:, : -q - 1 : -1])
+            if w[-q] >= max(GRAM_TOL**2 * w[-1], np.finfo(float).tiny):
+                if not tall:
+                    return top
+                U = C @ top
+                U /= np.sqrt(w[: -q - 1 : -1])
+                return U @ np.linalg.inv(np.linalg.cholesky(U.T @ U)).T
+    U, s, _ = np.linalg.svd(C, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    return np.ascontiguousarray(U[:, : min(r, rank)])
 
 
 def predict_nsc(clf: SubspaceClassifier, Z: np.ndarray) -> np.ndarray:
@@ -88,22 +136,28 @@ def predict_nsc(clf: SubspaceClassifier, Z: np.ndarray) -> np.ndarray:
     times whatever k is. Its rounding error is of order machine epsilon times
     ||z||^2 + ||mu_j||^2. The class is the argmin of the squared residual,
     which orders classes as the residual does; ties go to the smallest class
-    index.
+    index. A residual that is not finite, from a NaN or inf entry of Z or from
+    features too large to square, raises NumericError.
     """
     single = np.ndim(Z) == 1
-    Z = _check_features(np.reshape(Z, (-1, 1)) if single else Z)
-    if Z.shape[0] != clf.n:
-        raise ShapeError(f"expected {clf.n} rows, got {Z.shape[0]}")
+    Z = np.asarray(np.reshape(Z, (-1, 1)) if single else Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] == 0 or Z.shape[0] != clf.n:
+        raise ShapeError(f"expected an ({clf.n}, m) feature matrix with m >= 1, "
+                         f"got shape {Z.shape}")
     widths = [U.shape[1] for U in clf.bases]
     B = np.concatenate([*clf.bases, clf.means.T], axis=1)  # n x (sum r_j + k)
-    proj = B.T @ Z
     r = sum(widths)
     mean_proj = np.concatenate([U.T @ mu for U, mu in zip(clf.bases, clf.means)])
     owner = np.repeat(np.arange(clf.k), widths) == np.arange(clf.k)[:, None]  # k x sum r_j
-    in_span = owner.astype(float) @ np.square(proj[:r] - mean_proj[:, None])
-    dist = (np.einsum("ij,ij->j", Z, Z)[None, :] - 2.0 * proj[r:]
-            + np.einsum("ij,ij->i", clf.means, clf.means)[:, None])
-    residual_sq = np.maximum(dist - in_span, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = B.T @ Z
+        in_span = owner.astype(float) @ np.square(proj[:r] - mean_proj[:, None])
+        dist = (np.einsum("ij,ij->j", Z, Z)[None, :] - 2.0 * proj[r:]
+                + np.einsum("ij,ij->i", clf.means, clf.means)[:, None])
+        residual_sq = np.maximum(dist - in_span, 0.0)
+    if not np.all(np.isfinite(residual_sq)):
+        raise NumericError("class residuals are not finite: the features hold a NaN or an inf, "
+                           "or are too large to square")
     pred = np.argmin(residual_sq, axis=0).astype(np.uint32)
     return pred[0] if single else pred
 

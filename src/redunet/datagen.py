@@ -167,6 +167,13 @@ def augment_shifts(
     shifts = list(itertools.product(*(range(0, X.shape[a], stride) for a in axes)))
     m, count = X.shape[0], len(shifts)
     out = np.empty((m, count) + X.shape[1:], dtype=X.dtype)
-    for i, s in enumerate(shifts):  # one roll of the whole batch per shift
-        out[:, i] = np.roll(X, s, axis=axes)
+    for i, s in enumerate(shifts):
+        # a cyclic shift by t of an axis of extent N moves [0, N - t) to [t, N) and
+        # [N - t, N) to [0, t): at most 2 ** len(axes) block copies of the whole batch
+        pieces = [[(slice(t, None), slice(None, X.shape[a] - t))]
+                  + ([(slice(None, t), slice(X.shape[a] - t, None))] if t else [])
+                  for a, t in zip(axes, s)]
+        for piece in itertools.product(*pieces):
+            dst, src = zip(*piece)
+            out[(slice(None), i, Ellipsis, *dst)] = X[(Ellipsis, *src)]
     return out.reshape((m * count,) + X.shape[1:]), np.repeat(labels, count)

@@ -195,6 +195,12 @@ class SpectralLayer(_engine.Layer):
 
 @dataclass(frozen=True)
 class InvariantModel:
+    """A stack of spectral layers with the facts that forward and the RNS1
+    writer read beside them, checked at construction: a known ``kind``, one
+    extent >= 1 in ``dims`` per signal axis of that kind, and every layer
+    stack of shape (P', 1 + k, channels, channels), P' the size of the half
+    spectrum of ``dims``."""
+
     kind: str
     layers: tuple[SpectralLayer, ...]
     eta: float
@@ -203,6 +209,19 @@ class InvariantModel:
     channels: int
     dims: tuple[int, ...]  # (T,) or (H, W)
     k: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KIND_AXES:
+            raise DataError(f"unknown model kind {self.kind!r}")
+        axes = _KIND_AXES[self.kind]
+        if len(self.dims) != len(axes) or not all(n >= 1 for n in self.dims):
+            raise ShapeError(f"a {self.kind} model needs extents ({', '.join(axes)}) >= 1, "
+                             f"got {self.dims}")
+        shape = (_HalfSpectrum.size(self.dims), 1 + self.k, self.channels, self.channels)
+        for i, layer in enumerate(self.layers):
+            if layer.stack.shape != shape:
+                raise ShapeError(f"layer {i} has an operator stack of shape {layer.stack.shape}, "
+                                 f"but channels, dims and k need {shape}")
 
     @property
     def depth(self) -> int:

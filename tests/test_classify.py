@@ -14,6 +14,7 @@ from redunet import (
     fit_nsc,
     predict_nsc,
 )
+from redunet.classify import BASIS_ORTHO_TOL, GRAM_TOL, RANK_TOL
 
 
 def _subspace_data(seed=0, n=6, k=3, d=2, per_class=20, noise=0.0):
@@ -176,3 +177,96 @@ def test_class_cosine_stats():
     min_within, max_between = class_cosine_stats(S, Pi)
     assert min_within == pytest.approx(S[0, 1])
     assert max_between == pytest.approx(max(abs(S[0, 2]), abs(S[1, 2])))
+
+
+# ---------------------------------------------------------------------------
+# fit_nsc's Gram path against the thin SVD it falls back to
+
+
+def _svd_bases(Z, labels, r):
+    """Reference: each class's top left singular vectors of its centred block,
+    at most r and no more than its numerical rank."""
+    bases = []
+    for j in range(labels.max() + 1):
+        block = Z[:, labels == j]
+        U, s, _ = np.linalg.svd(block - block.mean(axis=1)[:, None], full_matrices=False)
+        rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+        bases.append(np.ascontiguousarray(U[:, : min(r, rank)]))
+    return bases
+
+
+def _spectrum_data(seed, n, m, spectra):
+    """One n x m class block per spectrum, whose centred singular values are
+    that spectrum (at most min(n, m - 1) of them), around a random mean."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for s in spectra:
+        U = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+        V = rng.standard_normal((m, len(s)))
+        V = np.linalg.qr(V - V.mean(axis=0))[0]  # columns orthogonal to the ones vector
+        blocks.append(U * s @ V.T + rng.standard_normal((n, 1)))
+    return np.concatenate(blocks, axis=1), np.repeat(np.arange(len(spectra)), m)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _fit_checked(Z, labels, r):
+    clf = fit_nsc(Z, labels, r=r)
+    for U in clf.bases:
+        assert np.max(np.abs(U.T @ U - np.eye(U.shape[1])), initial=0.0) <= BASIS_ORTHO_TOL
+    return clf
+
+
+# (n, m_j): C C^T is the smaller Gram when n <= m_j, C^T C otherwise
+LAYOUTS = [(10, 30), (40, 12)]
+
+
+@pytest.mark.parametrize("n, m", LAYOUTS)
+@pytest.mark.parametrize("ratio", [2e-3, 1e-2, 0.1])
+def test_gram_bases_span_the_svd_subspaces(n, m, ratio, svd_calls):
+    r = 4
+    # r kept values from 1 down to s_r / s_0 = ratio, then a gap of 10x to the rest
+    spectra = [np.concatenate((np.geomspace(1, ratio, r),
+                               0.1 * ratio * np.geomspace(1, 0.5, min(n, m - 1) - r)))
+               for _ in range(2)]
+    Z, labels = _spectrum_data(1, n, m, spectra)
+    clf = _fit_checked(Z, labels, r)
+    assert not svd_calls
+    for U, V in zip(clf.bases, _svd_bases(Z, labels, r)):
+        assert U.shape == V.shape == (n, r)
+        np.testing.assert_allclose(U @ U.T, V @ V.T, rtol=0, atol=1e-8)
+
+
+def _fallback_cases():
+    n, m, r = 40, 12, 4
+    below = np.concatenate((np.geomspace(1, 0.9 * GRAM_TOL, r), np.full(3, 1e-4)))
+    yield "just below GRAM_TOL", _spectrum_data(2, n, m, [below] * 2), r
+    yield "rank deficient", _spectrum_data(3, n, m, [np.geomspace(1, 0.5, r - 2)] * 2), r
+    yield "r >= m_j", _spectrum_data(4, n, m, [np.geomspace(1, 0.1, m - 1)] * 2), m
+    # the Gram of a scaled block overflows or is subnormal, while the SVD scales its input
+    for scale in (1e160, 1e-160):
+        for n, m in LAYOUTS:
+            Z, labels = _spectrum_data(5, n, m, [np.geomspace(1, 0.5, 6)] * 2)
+            yield f"Z * {scale:g}, {n} x {m}", (Z * scale, labels), r
+
+
+@pytest.mark.parametrize("case", [name for name, _, _ in _fallback_cases()])
+def test_blocks_the_gram_cannot_resolve_get_the_svd_bases(case, svd_calls):
+    (Z, labels), r = next((data, r) for name, data, r in _fallback_cases() if name == case)
+    expected = _svd_bases(Z, labels, r)
+    del svd_calls[:]
+    clf = _fit_checked(Z, labels, r)
+    assert len(svd_calls) == len(expected)
+    for U, V in zip(clf.bases, expected):
+        assert U.shape == V.shape and U.tobytes() == V.tobytes()

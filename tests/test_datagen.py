@@ -217,6 +217,10 @@ def test_augment_identity_when_stride_covers_the_axis():
     ("1d", (2, 12), 4),
     ("2d", (3, 2, 7, 5), 3),
     ("2d", (2, 6, 8), 2),
+    # strides above an extent: only the zero shift along that axis
+    ("1d", (2, 3, 5), 7),
+    ("2d", (2, 4, 6), 5),
+    ("2d", (2, 3, 3), 4),
 ])
 def test_augment_matches_per_sample_shifts(kind, shape, stride):
     X = np.random.default_rng(12).standard_normal(shape)

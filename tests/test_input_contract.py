@@ -4,6 +4,7 @@ fed malformed input exits 2, 3 or 4 instead of raising or writing a wrong
 answer."""
 
 import argparse
+import dataclasses
 import shutil
 import struct
 
@@ -280,6 +281,47 @@ def test_a_hand_built_layer_checks_its_operator_shapes(kind, bad):
     cls(*operators)
     with pytest.raises(ShapeError):
         cls(*BAD_OPERATORS[bad](*operators))
+
+
+def test_features_too_large_to_square_are_a_numeric_error(tmp_path):
+    # ||z||^2 overflows, so every residual is inf - inf; this fit used to
+    # predict class 0 for both columns, and class 1 once they were scaled down
+    Z, y = _dense_problem()
+    clf = fit_nsc(Z, y, r=1)
+    queries = np.zeros((3, 2))
+    queries[0] = [1e160, -1e160]
+    assert np.all(predict_nsc(clf, queries * 1e-150) == 1)
+    with pytest.raises(NumericError, match="not finite"):
+        predict_nsc(clf, queries)
+    bundle, feats, pred = tmp_path / "bundle", tmp_path / "q.rtf", tmp_path / "pred.rtf"
+    write_tensor(tmp_path / "z.rtf", Tensor.from_array(Z))
+    write_tensor(tmp_path / "y.rtf", Tensor.from_array(y.astype("<u4")))
+    write_tensor(feats, Tensor.from_array(queries))
+    assert main(["nsc-fit", "--features", str(tmp_path / "z.rtf"), "--labels",
+                 str(tmp_path / "y.rtf"), "--r", "1", "--out", str(bundle)]) == 0
+    assert main(["nsc-predict", "--bundle", str(bundle), "--features", str(feats),
+                 "--out", str(pred)]) == 4
+    assert not pred.exists()
+
+
+# field changes that leave a 1D model's layers as they are
+BAD_MODEL_FIELDS = {
+    "channels": (dict(channels=3), ShapeError),
+    "dims": (dict(dims=(10,)), ShapeError),
+    "k": (dict(k=5), ShapeError),
+    "kind": (dict(kind="shift3d"), DataError),
+    "kind of another rank": (dict(kind="translate2d"), ShapeError),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MODEL_FIELDS)
+def test_an_invariant_model_checks_its_fields_against_its_layers(bad):
+    X, y = _signal_problem()
+    model = construct_inv1d(X, Membership.from_labels(y), L=2, eta=0.5, eps=0.5)[0]
+    fields, error = BAD_MODEL_FIELDS[bad]
+    assert dataclasses.replace(model, layers=model.layers[1:]).depth == 1
+    with pytest.raises(error):
+        dataclasses.replace(model, **fields)
 
 
 # bases for the means zeros((2, 2)); the first is the non-orthonormal
