@@ -55,6 +55,9 @@ their shapes. The RNM1 and RNS1 containers store each layer
 class-major, E then C^1..C^k, each over every frequency: the stack
 transposed to (1 + k, P, d, d) (:func:`write_layers`). :func:`read_layers`
 transposes it back once, which for a dense (P = 1) layer moves no data.
+A model is its layers, which share one gamma_j that the containers store
+once, and eta and lambda: :func:`check_model` holds that rule for both
+kinds of model, wherever one is made.
 """
 
 from __future__ import annotations
@@ -154,6 +157,22 @@ def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
     finite softmin temperature lam >= 0."""
     if not (0 < _as_float(eta) < np.inf and 0 <= _as_float(lam) < np.inf):
         raise DataError(f"need 0 < eta < inf and 0 <= lambda < inf, got {eta} and {lam}")
+
+
+def check_model(layers, shape: tuple, eta: float, lam: float) -> None:
+    """The model rule: the step rule, a layer, a class, nonempty blocks, every
+    operator stack of the (P, 1 + k, d, d) ``shape`` the model's fields imply
+    and layer 0's gamma_j in every layer, which RNM1/RNS1 store once."""
+    check_step(eta, lam)
+    if not layers or shape[1] < 2 or 0 in shape:
+        raise ShapeError(f"a model needs a layer, a class and nonempty blocks, got "
+                         f"{len(layers)} layers of shape {shape}")
+    gamma = layers[0].gamma_j
+    for i, layer in enumerate(layers):
+        if layer.stack.shape != shape:
+            raise ShapeError(f"layer {i} has operator stack shape {layer.stack.shape}, not {shape}")
+        if not (layer.gamma_j is gamma or np.array_equal(layer.gamma_j, gamma)):
+            raise DataError(f"layer {i} has other class shares gamma_j than layer 0")
 
 
 def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,

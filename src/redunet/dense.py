@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .errors import NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 from .rate import Membership, _check_features
 from .tensorio import ContainerReader
 
@@ -32,10 +32,13 @@ class DenseLayer(_engine.Layer):
     """E (n, n) and C, the k compression operators as one (k, n, n) array,
     are views of the (1, 1 + k, n, n) stack. ``DenseLayer(E, C, gamma_j)``
     copies them into a new stack, after checking their shapes against
-    gamma_j (k,); construction and loading make no copy."""
+    gamma_j (k,) and that all three are real; construction and loading make
+    no copy."""
 
     def __init__(self, E: np.ndarray, C: np.ndarray, gamma_j: np.ndarray) -> None:
         _engine.check_operators(E, C, gamma_j, 0)
+        if any(np.iscomplexobj(a) for a in (E, C, gamma_j)):
+            raise DataError("a dense layer needs real E, C and gamma_j")
         super().__init__(np.concatenate((E[None, None], C[None]), axis=1), gamma_j)
 
     @property
@@ -46,19 +49,22 @@ class DenseLayer(_engine.Layer):
     def C(self) -> np.ndarray:
         return self.stack[0, 1:]
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.E, self.C[:, None]
-
 
 @dataclass(frozen=True)
 class ReduNetModel:
+    """A stack of dense layers with the step parameters that forward and the
+    RNM1 writer read beside them, checked wherever it is made by the model
+    rule, :func:`redunet._engine.check_model`, against the (1, 1 + k, n, n) stack."""
+
     layers: tuple[DenseLayer, ...]
     eta: float
     lam: float
     eps: float
     n: int
     k: int
+
+    def __post_init__(self) -> None:
+        _engine.check_model(self.layers, (1, 1 + self.k, self.n, self.n), self.eta, self.lam)
 
     @property
     def depth(self) -> int:
@@ -135,6 +141,5 @@ def save_model(path, model: ReduNetModel) -> None:
 def load_model(path) -> ReduNetModel:
     with ContainerReader(path, MODEL_MAGIC, (MODEL_VERSION,)) as r:
         L, n, k, eta, lam, eps = r.unpack("<3I3d")
-        _engine.check_step(eta, lam)
         layers = _engine.read_layers(r, "<f8", L, k, 1, n, DenseLayer.on)
     return ReduNetModel(layers=layers, eta=eta, lam=lam, eps=eps, n=n, k=k)

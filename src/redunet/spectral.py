@@ -188,18 +188,14 @@ class SpectralLayer(_engine.Layer):
     def C_hat(self) -> np.ndarray:
         return self.stack[:, 1:].swapaxes(0, 1)
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.E_hat, self.C_hat
-
 
 @dataclass(frozen=True)
 class InvariantModel:
     """A stack of spectral layers with the facts that forward and the RNS1
-    writer read beside them, checked at construction: a known ``kind``, one
-    extent >= 1 in ``dims`` per signal axis of that kind, and every layer
-    stack of shape (P', 1 + k, channels, channels), P' the size of the half
-    spectrum of ``dims``."""
+    writer read beside them, checked at construction: a known ``kind`` and
+    one extent >= 1 in ``dims`` per signal axis of that kind, then the model
+    rule, :func:`redunet._engine.check_model`, against the (P', 1 + k,
+    channels, channels) stack, P' the size of the half spectrum of ``dims``."""
 
     kind: str
     layers: tuple[SpectralLayer, ...]
@@ -218,10 +214,7 @@ class InvariantModel:
             raise ShapeError(f"a {self.kind} model needs extents ({', '.join(axes)}) >= 1, "
                              f"got {self.dims}")
         shape = (_HalfSpectrum.size(self.dims), 1 + self.k, self.channels, self.channels)
-        for i, layer in enumerate(self.layers):
-            if layer.stack.shape != shape:
-                raise ShapeError(f"layer {i} has an operator stack of shape {layer.stack.shape}, "
-                                 f"but channels, dims and k need {shape}")
+        _engine.check_model(self.layers, shape, self.eta, self.lam)
 
     @property
     def depth(self) -> int:
@@ -295,6 +288,11 @@ class _HalfSpectrum:
     def real(self) -> np.ndarray:
         """Mask of the self-conjugate representatives."""
         return self.w == 1
+
+    def check_real(self, layers, error: type[DataError], path) -> None:
+        """RNS1 version 2 needs every operator real at the self-conjugate frequencies."""
+        if any(np.any(layer.stack[self.real].imag != 0) for layer in layers):
+            raise error(f"{path}: an operator at a self-conjugate frequency is not real")
 
 
 def _to_spectral(Zbar: np.ndarray, half: _HalfSpectrum) -> np.ndarray:
@@ -384,7 +382,7 @@ def _forward_inv(kind: str, model: InvariantModel, Zbar: np.ndarray) -> np.ndarr
         raise ShapeError(f"expected (m, {', '.join(map(str, expected))}) input with m >= 1, "
                          f"got {Zbar.shape}")
     half = _HalfSpectrum.of(model.dims)
-    b = _engine.samples_per_block(model.layers[0].stack) if model.layers else len(Zbar)
+    b = _engine.samples_per_block(model.layers[0].stack)
     out = np.empty(Zbar.shape)
     for start in range(0, len(Zbar), b):
         rows = np.s_[start:start + b]
@@ -420,6 +418,7 @@ def save_invariant_model(path, model: InvariantModel) -> None:
     header = INV_MAGIC + struct.pack(
         f"<IBI{len(model.dims)}I2I3d", INV_VERSION, len(_KIND_AXES[model.kind]), model.channels,
         *model.dims, model.k, model.depth, model.eta, model.lam, model.eps)
+    _HalfSpectrum.of(model.dims).check_real(model.layers, DataError, path)
     _engine.write_layers(path, header, model.layers, "<c16")
 
 
@@ -435,7 +434,6 @@ def load_invariant_model(path) -> InvariantModel:
         (channels,) = r.unpack("<I")
         dims = r.unpack(f"<{len(_KIND_AXES[kind])}I")
         k, L, eta, lam, eps = r.unpack("<2I3d")
-        _engine.check_step(eta, lam)
         P = math.prod(dims) if r.version == 1 else _HalfSpectrum.size(dims)
         layers = _engine.read_layers(r, "<c16", L, k, P, channels, SpectralLayer.on)
     # the grid is built only once the file has shown it holds the layers
@@ -445,8 +443,7 @@ def load_invariant_model(path) -> InvariantModel:
         layers = tuple(SpectralLayer.on(la.stack[full_index], la.gamma_j) for la in layers)
         for layer in layers:
             layer.stack.imag[half.real] = 0.0
-    elif any(np.any(layer.stack[half.real].imag != 0) for layer in layers):
-        raise FormatError(f"{path}: an operator at a self-conjugate frequency is not real")
+    half.check_real(layers, FormatError, path)
     return InvariantModel(
         kind=kind,
         layers=layers,

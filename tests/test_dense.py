@@ -219,6 +219,7 @@ def test_model_round_trip_is_exact(tmp_path):
     save_model(path, model)
     back = load_model(path)
     assert back.depth == model.depth
+    np.testing.assert_array_equal(forward(back, Z), forward(model, Z))
     assert (back.eta, back.lam, back.eps) == (model.eta, model.lam, model.eps)
     for la, lb in zip(model.layers, back.layers):
         np.testing.assert_array_equal(la.E, lb.E)

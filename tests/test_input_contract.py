@@ -311,6 +311,8 @@ BAD_MODEL_FIELDS = {
     "k": (dict(k=5), ShapeError),
     "kind": (dict(kind="shift3d"), DataError),
     "kind of another rank": (dict(kind="translate2d"), ShapeError),
+    "no layers": (dict(layers=()), ShapeError),
+    "negative eta": (dict(eta=-0.5), DataError),
 }
 
 
@@ -322,6 +324,75 @@ def test_an_invariant_model_checks_its_fields_against_its_layers(bad):
     assert dataclasses.replace(model, layers=model.layers[1:]).depth == 1
     with pytest.raises(error):
         dataclasses.replace(model, **fields)
+
+
+# field changes that leave a dense model's layers as they are
+BAD_DENSE_MODEL_FIELDS = {
+    "n": (dict(n=4), ShapeError),
+    "k": (dict(k=5), ShapeError),
+    "no layers": (dict(layers=()), ShapeError),
+    "negative eta": (dict(eta=-0.5), DataError),
+    "NaN lambda": (dict(lam=NAN), DataError),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_DENSE_MODEL_FIELDS)
+def test_a_dense_model_checks_its_fields_against_its_layers(bad):
+    Z, y = _dense_problem()
+    model = construct(Z, Membership.from_labels(y), L=2, eta=0.5, eps=0.5)[0]
+    fields, error = BAD_DENSE_MODEL_FIELDS[bad]
+    assert dataclasses.replace(model, layers=model.layers[1:]).depth == 1
+    with pytest.raises(error):
+        dataclasses.replace(model, **fields)
+
+
+def _model_and_layer_class(kind):
+    """A two-layer model of ``kind`` and its hand-built layer class."""
+    if kind == "dense":
+        Z, y = _dense_problem()
+        return construct(Z, Membership.from_labels(y), L=2, eta=0.5, eps=0.5)[0], DenseLayer
+    X, y = _signal_problem()
+    return construct_inv1d(X, Membership.from_labels(y), L=2, eta=0.5, eps=0.5)[0], SpectralLayer
+
+
+@pytest.mark.parametrize("kind", ["dense", "spectral"])
+def test_every_layer_of_a_model_has_the_gamma_of_layer_0(kind):
+    # the containers store gamma_j once, so a hand-built layer with other
+    # shares used to forward with them and reload with layer 0's
+    model, cls = _model_and_layer_class(kind)
+    first, last = model.layers[0], model.layers[1]
+    operators = (last.E, last.C) if kind == "dense" else (last.E_hat, last.C_hat)
+    equal = cls(*operators, first.gamma_j.copy())
+    assert dataclasses.replace(model, layers=(first, equal)).depth == 2
+    other = cls(*operators, first.gamma_j + [0.25, -0.25])
+    with pytest.raises(DataError, match="gamma_j"):
+        dataclasses.replace(model, layers=(first, other))
+
+
+@pytest.mark.parametrize("kind", ["dense", "spectral"])
+def test_a_model_needs_nonempty_blocks(kind):
+    # a layer of 0 x 0 operators passes the layer's shape check, but no
+    # container stores it: the loaders reject empty layer blocks
+    model, cls = _model_and_layer_class(kind)
+    g = model.layers[0].gamma_j
+    if kind == "dense":
+        empty, fields = cls(np.zeros((0, 0)), np.zeros((2, 0, 0)), g), dict(n=0)
+    else:
+        P = model.layers[0].stack.shape[0]
+        empty, fields = cls(np.zeros((P, 0, 0)), np.zeros((2, P, 0, 0)), g), dict(channels=0)
+    with pytest.raises(ShapeError, match="nonempty blocks"):
+        dataclasses.replace(model, layers=(empty,), **fields)
+
+
+@pytest.mark.parametrize("operand", ["E", "C", "gamma_j"])
+def test_a_dense_layer_needs_real_operators(operand):
+    # complex operators used to forward to complex features and save with
+    # their imaginary parts dropped
+    layer = _model_and_layer_class("dense")[0].layers[0]
+    operators = dict(E=layer.E, C=layer.C, gamma_j=layer.gamma_j)
+    operators[operand] = operators[operand] + 1e-3j
+    with pytest.raises(DataError, match="real"):
+        DenseLayer(**operators)
 
 
 # bases for the means zeros((2, 2)); the first is the non-orthonormal

@@ -465,6 +465,8 @@ def test_invariant_model_round_trip(tmp_path, dim):
     save_invariant_model(path, model)
     back = load_invariant_model(path)
     assert back.kind == model.kind
+    run = forward_inv1d if dim == "1d" else forward_inv2d
+    np.testing.assert_array_equal(run(back, Z), run(model, Z))
     assert back.dims == model.dims
     assert (back.eta, back.lam, back.eps) == (model.eta, model.lam, model.eps)
     for la, lb in zip(model.layers, back.layers):
@@ -592,7 +594,7 @@ def _assert_unit_norm_and_real_self_conjugate_operators(model, Z_out):
     np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
     real = _HalfSpectrum.of(model.dims).real
     for layer in model.layers:
-        for block in layer.blocks:
+        for block in (layer.E_hat, layer.C_hat):
             assert not np.any(block[..., real, :, :].imag)
 
 
@@ -715,7 +717,16 @@ def test_a_version_2_operator_that_is_not_real_at_a_self_conjugate_frequency_is_
     C_hat[1, 3, 0, 1] += 1e-300j  # frequency 3 of T=6 is its own conjugate
     layers[1] = SpectralLayer(layers[1].E_hat, C_hat, layers[1].gamma_j)
     path = tmp_path / "bad.rns"
-    save_invariant_model(path, type(model)(**{**vars(model), "layers": tuple(layers)}))
+    # the writer refuses the model before it opens the file
+    with pytest.raises(DataError, match="not real"):
+        save_invariant_model(path, type(model)(**{**vars(model), "layers": tuple(layers)}))
+    assert not path.exists()
+    # the same operator written into a good file: layer 1 is the last block of the stream
+    save_invariant_model(path, model)
+    blob = bytearray(path.read_bytes())
+    stream = np.frombuffer(blob, "<c16", offset=len(blob) - layers[1].stack.nbytes)
+    stream.reshape(layers[1].stack.swapaxes(0, 1).shape)[2, 3, 0, 1] += 1e-300j
+    path.write_bytes(blob)
     with pytest.raises(FormatError):
         load_invariant_model(path)
     feats = tmp_path / "sig.rtf"
