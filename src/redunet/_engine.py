@@ -50,14 +50,14 @@ the layers of :mod:`redunet.dense` and :mod:`redunet.spectral` subclass it
 with E and C as views of the stack, so writing through them changes the
 layer. The engine and the loaders make each layer on its stack without a
 copy (:meth:`Layer.on`); only a layer built by hand from separate E and C
-copies them into a new stack, once :func:`check_operators` has checked
-their shapes. The RNM1 and RNS1 containers store each layer
+copies them into a new stack by :func:`layer_stack`, the one check of
+hand-built layers. The RNM1 and RNS1 containers store each layer
 class-major, E then C^1..C^k, each over every frequency: the stack
 transposed to (1 + k, P, d, d) (:func:`write_layers`). :func:`read_layers`
 transposes it back once, which for a dense (P = 1) layer moves no data.
 A model is its layers, which share one gamma_j that the containers store
-once, and eta and lambda: :func:`check_model` holds that rule for both
-kinds of model, wherever one is made.
+once, and eta, lambda and eps: :func:`check_model` holds that rule for
+both kinds of model, wherever one is made.
 """
 
 from __future__ import annotations
@@ -142,14 +142,19 @@ class Layer:
         return layer
 
 
-def check_operators(E, C, gamma_j, nf: int) -> None:
-    """The shapes a hand-built layer needs: E (*F, d, d), C (k, *F, d, d) and
-    gamma_j (k,) with k >= 1, where F are nf frequency axes (none if dense)."""
+def layer_stack(E, C, gamma_j, nf: int) -> np.ndarray:
+    """The checked copy of a hand-built layer: E (*F, d, d) and C (k, *F, d, d),
+    F being nf frequency axes (none if dense) of product P, for a real gamma_j
+    (k,) with k >= 1, in a new (P, 1 + k, d, d) stack; dense E and C are real."""
     e, c, g = np.shape(E), np.shape(C), np.shape(gamma_j)
     if not (len(e) == nf + 2 and e[-2] == e[-1] and len(g) == 1 and g[0] >= 1 and c == g + e):
         F = "P, " * nf
         raise ShapeError(f"need E ({F}d, d), C (k, {F}d, d) and gamma_j (k,) with k >= 1, "
                          f"got {e}, {c} and {g}")
+    if np.iscomplexobj(gamma_j) or nf == 0 and (np.iscomplexobj(E) or np.iscomplexobj(C)):
+        raise DataError("a layer needs real gamma_j, and a dense layer real E and C")
+    M = np.concatenate(([E], C)).reshape((1 + g[0], np.prod(e[:nf], dtype=int)) + e[-2:])
+    return np.ascontiguousarray(M.swapaxes(0, 1))
 
 
 def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
@@ -159,11 +164,13 @@ def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
         raise DataError(f"need 0 < eta < inf and 0 <= lambda < inf, got {eta} and {lam}")
 
 
-def check_model(layers, shape: tuple, eta: float, lam: float) -> None:
-    """The model rule: the step rule, a layer, a class, nonempty blocks, every
-    operator stack of the (P, 1 + k, d, d) ``shape`` the model's fields imply
-    and layer 0's gamma_j in every layer, which RNM1/RNS1 store once."""
+def check_model(layers, shape: tuple, eta: float, lam: float, eps: float) -> None:
+    """The model rule: the step rule, 0 < eps < inf, a layer, a class, nonempty
+    blocks, every operator stack of the (P, 1 + k, d, d) ``shape`` the fields
+    imply and layer 0's gamma_j in every layer, which RNM1/RNS1 store once."""
     check_step(eta, lam)
+    if not 0 < _as_float(eps) < np.inf:
+        raise DataError(f"need 0 < eps < inf, got {eps}")
     if not layers or shape[1] < 2 or 0 in shape:
         raise ShapeError(f"a model needs a layer, a class and nonempty blocks, got "
                          f"{len(layers)} layers of shape {shape}")
@@ -348,8 +355,8 @@ def read_layers(r, dtype: str, L: int, k: int, P: int, d: int, make_layer) -> tu
     the header; the stream must end the file. Each layer is read as one
     (1 + k, P, d, d) array, and ``make_layer(stack, gamma)`` makes the layer
     on its contiguous transpose: a view of it for P = 1, else its one copy."""
-    if L < 1 or k < 1 or P * d == 0:
-        raise ShapeError(f"{r.path}: a model needs a layer, a class and nonempty layer blocks")
+    if L * P * d == 0:  # no bytes to read: the file would bound neither L nor P
+        raise ShapeError(f"{r.path}: a model needs a layer and nonempty layer blocks")
     gamma = r.array("<f8", (k,))
     r.require(L * (1 + k) * P * d * d * np.dtype(dtype).itemsize)
     stacks = (r.array(dtype, (1 + k, P, d, d)) for _ in range(L))

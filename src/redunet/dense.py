@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .errors import DataError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .rate import Membership, _check_features
 from .tensorio import ContainerReader
 
@@ -36,10 +36,7 @@ class DenseLayer(_engine.Layer):
     no copy."""
 
     def __init__(self, E: np.ndarray, C: np.ndarray, gamma_j: np.ndarray) -> None:
-        _engine.check_operators(E, C, gamma_j, 0)
-        if any(np.iscomplexobj(a) for a in (E, C, gamma_j)):
-            raise DataError("a dense layer needs real E, C and gamma_j")
-        super().__init__(np.concatenate((E[None, None], C[None]), axis=1), gamma_j)
+        super().__init__(_engine.layer_stack(E, C, gamma_j, 0), gamma_j)
 
     @property
     def E(self) -> np.ndarray:
@@ -64,7 +61,8 @@ class ReduNetModel:
     k: int
 
     def __post_init__(self) -> None:
-        _engine.check_model(self.layers, (1, 1 + self.k, self.n, self.n), self.eta, self.lam)
+        _engine.check_model(self.layers, (1, 1 + self.k, self.n, self.n), self.eta, self.lam,
+                            self.eps)
 
     @property
     def depth(self) -> int:

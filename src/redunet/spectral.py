@@ -172,13 +172,11 @@ class SpectralLayer(_engine.Layer):
     """E_hat (P', C, C) and C_hat (k, P', C, C), P' the representatives of
     the conjugate pairs, are views of the (P', 1 + k, C, C) stack.
     ``SpectralLayer(E_hat, C_hat, gamma_j)`` copies them into a new stack,
-    after checking their shapes against gamma_j (k,); construction and
-    loading make no copy."""
+    after checking their shapes against gamma_j (k,) and that gamma_j is
+    real; construction and loading make no copy."""
 
     def __init__(self, E_hat: np.ndarray, C_hat: np.ndarray, gamma_j: np.ndarray) -> None:
-        _engine.check_operators(E_hat, C_hat, gamma_j, 1)
-        super().__init__(np.concatenate((E_hat[:, None], C_hat.swapaxes(0, 1)), axis=1),
-                         gamma_j)
+        super().__init__(_engine.layer_stack(E_hat, C_hat, gamma_j, 1), gamma_j)
 
     @property
     def E_hat(self) -> np.ndarray:
@@ -195,7 +193,8 @@ class InvariantModel:
     writer read beside them, checked at construction: a known ``kind`` and
     one extent >= 1 in ``dims`` per signal axis of that kind, then the model
     rule, :func:`redunet._engine.check_model`, against the (P', 1 + k,
-    channels, channels) stack, P' the size of the half spectrum of ``dims``."""
+    channels, channels) stack, P' the size of the half spectrum of ``dims``,
+    and then real operators at its self-conjugate frequencies."""
 
     kind: str
     layers: tuple[SpectralLayer, ...]
@@ -214,7 +213,8 @@ class InvariantModel:
             raise ShapeError(f"a {self.kind} model needs extents ({', '.join(axes)}) >= 1, "
                              f"got {self.dims}")
         shape = (_HalfSpectrum.size(self.dims), 1 + self.k, self.channels, self.channels)
-        _engine.check_model(self.layers, shape, self.eta, self.lam)
+        _engine.check_model(self.layers, shape, self.eta, self.lam, self.eps)
+        _HalfSpectrum.of(self.dims).check_real(self.layers, DataError, "model")
 
     @property
     def depth(self) -> int:

@@ -198,6 +198,34 @@ def test_single_vector_increment_matches_batch():
     assert inc.shape == (Z.shape[0],)
 
 
+def test_a_held_out_component_outside_its_class_span_grows_when_eta_alpha_exceeds_2():
+    # m_j = 2 < n = 6: C_0 leaves the directions outside class 0's span
+    # uncompressed (eigenvalue alpha_0), and gamma_0 alpha_0 = alpha, so a
+    # held-out sample softmin-assigned to class 0 has its component u inside
+    # the data span but outside class 0's span scaled by 1 + eta (u'Eu - alpha)
+    # per layer, while training samples have no such component
+    rng = np.random.default_rng(0)
+    Z = rng.standard_normal((6, 4))
+    Z /= np.linalg.norm(Z, axis=0)
+    Pi = Membership.from_labels(np.array([0, 0, 1, 1]))
+    eta, eps, lam = 0.5, 0.5, 500.0
+    layer = construct(Z, Pi, L=1, eta=eta, eps=eps, lam=lam)[0].layers[0]
+    params = RateParams.compute(6, Pi, eps)
+    alpha, alpha_0 = params.alpha, params.alpha_j[0]
+    assert (alpha, eta * alpha) == (6.0, 3.0)
+    Q0 = np.linalg.qr(Z[:, :2])[0]
+    u = Z[:, 2] - Q0 @ (Q0.T @ Z[:, 2])
+    u /= np.linalg.norm(u)
+    np.testing.assert_allclose(layer.C[0] @ u, alpha_0 * u, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(layer.gamma_j * params.alpha_j, alpha)
+    z = Z[:, 0] + 0.05 * u
+    z /= np.linalg.norm(z)
+    np.testing.assert_array_equal(estimate_membership(z, layer, lam), [1.0, 0.0])
+    predicted = u @ layer.E @ z - alpha * (u @ z)
+    assert abs(u @ layer_increment(z, layer, lam) - predicted) < 1e-13
+    assert abs(1 + eta * (u @ layer.E @ u - alpha)) > 1
+
+
 def test_sphere_project():
     v = sphere_project(np.array([3.0, 4.0]))
     np.testing.assert_allclose(v, [0.6, 0.8])

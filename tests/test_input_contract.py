@@ -313,6 +313,7 @@ BAD_MODEL_FIELDS = {
     "kind of another rank": (dict(kind="translate2d"), ShapeError),
     "no layers": (dict(layers=()), ShapeError),
     "negative eta": (dict(eta=-0.5), DataError),
+    "NaN eps": (dict(eps=NAN), DataError),
 }
 
 
@@ -333,6 +334,7 @@ BAD_DENSE_MODEL_FIELDS = {
     "no layers": (dict(layers=()), ShapeError),
     "negative eta": (dict(eta=-0.5), DataError),
     "NaN lambda": (dict(lam=NAN), DataError),
+    "NaN eps": (dict(eps=NAN), DataError),
 }
 
 
@@ -384,15 +386,25 @@ def test_a_model_needs_nonempty_blocks(kind):
         dataclasses.replace(model, layers=(empty,), **fields)
 
 
-@pytest.mark.parametrize("operand", ["E", "C", "gamma_j"])
-def test_a_dense_layer_needs_real_operators(operand):
-    # complex operators used to forward to complex features and save with
-    # their imaginary parts dropped
-    layer = _model_and_layer_class("dense")[0].layers[0]
-    operators = dict(E=layer.E, C=layer.C, gamma_j=layer.gamma_j)
+@pytest.mark.parametrize("kind, operand", [
+    *(pytest.param("dense", operand, id=operand) for operand in ("E", "C", "gamma_j")),
+    ("spectral", "gamma_j"),
+])
+def test_a_dense_layer_needs_real_operators(kind, operand):
+    # complex dense operators used to forward to complex features and save
+    # with their imaginary parts dropped, and a complex spectral gamma_j used
+    # to forward into numpy's bare UFuncTypeError; every layer's gamma_j is
+    # real, while a spectral layer's E_hat and C_hat may be complex
+    model, cls = _model_and_layer_class(kind)
+    layer = model.layers[0]
+    E, C = (layer.E, layer.C) if kind == "dense" else (layer.E_hat, layer.C_hat)
+    operators = dict(E=E, C=C, gamma_j=layer.gamma_j)
     operators[operand] = operators[operand] + 1e-3j
     with pytest.raises(DataError, match="real"):
-        DenseLayer(**operators)
+        cls(*operators.values())
+    if kind == "spectral":
+        complex_layer = cls(E + 1e-3j, C + 1e-3j, layer.gamma_j)
+        np.testing.assert_array_equal(complex_layer.C_hat, C + 1e-3j)
 
 
 # bases for the means zeros((2, 2)); the first is the non-orthonormal

@@ -5,6 +5,7 @@ that loads is a model that forwards: a bit-flipped RNM1/RNS1 either fails at
 load or forward with a DataError/NumericError, or gives finite unit-norm output."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,11 +161,12 @@ HEADER_DOUBLES = {"rnm1": 4 + struct.calcsize("<4I"),
 
 
 @pytest.mark.parametrize("name", HEADER_DOUBLES)
-@pytest.mark.parametrize("field, value", [(0, -0.5), (0, np.nan), (1, -500.0)])
+@pytest.mark.parametrize("field, value", [(0, -0.5), (0, np.nan), (1, -500.0),
+                                          (2, np.nan), (2, 0.0), (2, -0.1)])
 def test_a_negative_or_nan_step_parameter_is_rejected_at_load(valid, name, field, value):
     blob, path = valid[name]
     i = HEADER_DOUBLES[name] + 8 * field
-    assert struct.unpack_from("<d", blob, i)[0] == (0.5, 500.0)[field]
+    assert struct.unpack_from("<d", blob, i)[0] == (0.5, 500.0, 0.5)[field]
     path.write_bytes(blob[:i] + struct.pack("<d", value) + blob[i + 8:])
     with pytest.raises(DataError):
         LOADERS[name](path)
@@ -217,6 +219,22 @@ def test_model_with_empty_layer_blocks_is_rejected(valid, tmp_path):
         path.write_bytes(data)
         with pytest.raises(ShapeError):
             LOADERS[name](path)
+
+
+def test_a_depth_0_model_is_refused_before_its_extents_are_used(tmp_path):
+    # no layers take no bytes, so the file bounds no extent: these dims would
+    # make load_invariant_model build a half-spectrum grid of about 50 MB
+    path = tmp_path / "depth0.rns"
+    path.write_bytes(b"RNS1" + struct.pack("<IBI2I2I3d", 2, 2, 1, 1024, 1024, 2, 0, 0.5, 500.0,
+                                           0.5) + np.full(2, 0.5).astype("<f8").tobytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError):
+            load_invariant_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("code", [0, 3, 255])

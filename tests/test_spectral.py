@@ -1,6 +1,7 @@
 """Spectral-domain construction checked against explicit circulant algebra."""
 
 import copy
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -706,6 +707,35 @@ def test_a_hand_built_layer_copies_its_arrays_into_its_own_stack():
         assert not np.shares_memory(la.stack, lb.stack)
     hand_built = type(model)(**{**vars(model), "layers": layers})
     np.testing.assert_array_equal(forward_inv2d(hand_built, Z), forward_inv2d(model, Z))
+
+
+def test_an_invariant_model_is_real_at_its_self_conjugate_frequencies_where_it_is_made():
+    # such a layer used to forward silently, with outputs off unit norm, and
+    # only the writer refused it
+    Z, _, Pi = _samples_1d(seed=19, T=6)
+    model, _, _ = construct_inv1d(Z, Pi, L=2, eta=0.5, eps=0.1)
+    first, layer = model.layers
+    for p, ok in ((1, True), (3, False)):  # frequency 3 of T=6 is its own conjugate
+        E_hat = layer.E_hat.copy()
+        E_hat[p, 0, 1] += 0.5j
+        made = SpectralLayer(E_hat, layer.C_hat, layer.gamma_j)
+        if ok:
+            assert dataclasses.replace(model, layers=(first, made)).depth == 2
+        else:
+            with pytest.raises(DataError, match="not real"):
+                dataclasses.replace(model, layers=(first, made))
+
+
+def test_the_writer_refuses_an_operator_made_non_real_through_its_view(tmp_path):
+    # E_hat is a writable view of the layer's stack, so a model can reach the
+    # writer with an operator that is no longer real
+    Z, _, Pi = _samples_1d(seed=19, T=6)
+    model, _, _ = construct_inv1d(Z, Pi, L=2, eta=0.5, eps=0.1)
+    model.layers[1].E_hat[3, 0, 1] += 1e-300j
+    path = tmp_path / "bad.rns"
+    with pytest.raises(DataError, match="not real"):
+        save_invariant_model(path, model)
+    assert not path.exists()
 
 
 def test_a_version_2_operator_that_is_not_real_at_a_self_conjugate_frequency_is_rejected(

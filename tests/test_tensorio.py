@@ -1,5 +1,6 @@
 """Round trips and failure modes of the RTF1 container and IDX ingestion."""
 
+import os
 import struct
 import tracemalloc
 
@@ -17,7 +18,7 @@ from redunet import (
     read_tensor,
     write_tensor,
 )
-from redunet.tensorio import DTYPE_REAL64, DTYPE_UINT32
+from redunet.tensorio import DTYPE_REAL64, DTYPE_UINT32, ContainerReader
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4), (2, 2, 2, 3)])
@@ -175,3 +176,13 @@ def test_idx_payload_shortfall(tmp_path):
     path.write_bytes(struct.pack(">II", 0x801, 10) + b"\x01\x02")
     with pytest.raises(ShapeError):
         read_idx(path)
+
+
+def test_a_file_that_shrinks_after_it_was_opened_is_truncated(tmp_path):
+    # larger than the reader's buffer, so the missing bytes are not already read
+    path = tmp_path / "shrinks.rtf"
+    write_tensor(path, Tensor.from_array(np.ones(4096)))
+    with ContainerReader(path, b"RTF1") as r:
+        os.truncate(path, 64)
+        with pytest.raises(TruncatedFileError, match="file ended before byte"):
+            r.array("<f8", (4096,))
