@@ -27,7 +27,7 @@ Each frequency's k class operators are thus one contiguous (k d, d) matrix,
 so the class products C_j V of all classes are one matrix product per
 frequency (:func:`class_products`), read by the softmin and the weighted
 sum as one (P, k, d, b) block. The weights enter
-only there, in :func:`factor` and :func:`rates`: the update, the residual
+only there and in :func:`factor`: the update, the residual
 norms of the softmin and the renormalization are sums over the scaled
 stack and need no weights. :mod:`redunet.rate` is the readable per-matrix
 reference the engine is tested against.
@@ -142,19 +142,22 @@ class Layer:
         return layer
 
 
-def layer_stack(E, C, gamma_j, nf: int) -> np.ndarray:
+def layer_stack(E, C, gamma_j, nf: int) -> tuple[np.ndarray, np.ndarray]:
     """The checked copy of a hand-built layer: E (*F, d, d) and C (k, *F, d, d),
-    F being nf frequency axes (none if dense) of product P, for a real gamma_j
-    (k,) with k >= 1, in a new (P, 1 + k, d, d) stack; dense E and C are real."""
+    F being nf frequency axes (none if dense) of product P, in a new (P, 1 + k,
+    d, d) stack of float64 if dense, else complex128, and gamma_j (k,), k >= 1,
+    as float64; an operand that does not cast to its type same_kind is refused."""
     e, c, g = np.shape(E), np.shape(C), np.shape(gamma_j)
     if not (len(e) == nf + 2 and e[-2] == e[-1] and len(g) == 1 and g[0] >= 1 and c == g + e):
         F = "P, " * nf
         raise ShapeError(f"need E ({F}d, d), C (k, {F}d, d) and gamma_j (k,) with k >= 1, "
                          f"got {e}, {c} and {g}")
-    if np.iscomplexobj(gamma_j) or nf == 0 and (np.iscomplexobj(E) or np.iscomplexobj(C)):
-        raise DataError("a layer needs real gamma_j, and a dense layer real E and C")
+    dtype = np.complex128 if nf else np.float64
+    if not all(np.can_cast(np.asarray(X).dtype, t, "same_kind")
+               for X, t in ((E, dtype), (C, dtype), (gamma_j, np.float64))):
+        raise DataError("a layer needs real gamma_j and numeric E and C, a dense layer real ones")
     M = np.concatenate(([E], C)).reshape((1 + g[0], np.prod(e[:nf], dtype=int)) + e[-2:])
-    return np.ascontiguousarray(M.swapaxes(0, 1))
+    return np.ascontiguousarray(M.swapaxes(0, 1), dtype), np.asarray(gamma_j, np.float64)
 
 
 def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
@@ -183,11 +186,12 @@ def check_model(layers, shape: tuple, eta: float, lam: float, eps: float) -> Non
 
 
 def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
-           params: RateParams) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients a_j and the Cholesky factors of the (P, 1 + k, d, d)
-    stack for frequency shares ``share``: a_0 = alpha and a_j = alpha_j from
-    ``params``, which is 0 for an empty class, so its block is the identity
-    and adds nothing to the rate."""
+           params: RateParams) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
+    """The coefficients a_j, the Cholesky factors L of the (P, 1 + k, d, d)
+    stack for frequency shares ``share`` and the (R, Rc, dR) on L's diagonal:
+    a_0 = alpha and a_j = alpha_j from ``params``, 0 for an empty class, whose
+    block is the identity and adds nothing to the rate. Row j adds sum_p s_p
+    logdet(A_j(p)) / 2, the rate of the whole shift family over its copies."""
     P, d, m = V.shape
     if Pi.m != m:
         raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
@@ -199,18 +203,12 @@ def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
         np.matmul(V * pi_j, Vh, out=A[:, j])
     A *= (coef / share[:, None])[:, :, None, None]
     A += np.eye(d)
-    return coef, _cholesky(A)
-
-
-def rates(L: np.ndarray, share: np.ndarray, gamma: np.ndarray) -> tuple[float, float, float]:
-    """(R, Rc, dR) from the factors: row j contributes sum_p s_p logdet(A_j(p))
-    / 2, the rate of the whole shift family divided by its copies. The sums
-    over p run on the rows of a (1 + k, P) array, one dot product each."""
+    L = _cholesky(A)
     logs = np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=-1)
     half_logdet = np.ascontiguousarray(logs.T) @ share
     R = float(half_logdet[0])
-    Rc = float(gamma @ half_logdet[1:])
-    return R, Rc, R - Rc
+    Rc = float(params.gamma_j @ half_logdet[1:])
+    return coef, L, (R, Rc, R - Rc)
 
 
 def operators(coef: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -267,8 +265,7 @@ def increment(V: np.ndarray, S: np.ndarray, gamma: np.ndarray, lam: float) -> np
 def samples_per_block(S: np.ndarray) -> int:
     """The most samples b, at least one, whose (P, k, d, b) class products
     C_j V fit in STEP_BLOCK_BYTES, sized from the (P, 1 + k, d, d) operator
-    stack S and its itemsize. A real stack built by hand for complex V gets
-    blocks twice the budget: more memory, the same values."""
+    stack S and its itemsize."""
     P, k1, d, _ = S.shape
     return max(1, STEP_BLOCK_BYTES // max(1, (k1 - 1) * P * d * S.itemsize))
 
@@ -325,8 +322,7 @@ def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: flo
     layers, curve = [], np.empty((L, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(L):
-            coef, Lf = factor(V, share, Pi, params)
-            curve[i] = rates(Lf, share, params.gamma_j)
+            coef, Lf, curve[i] = factor(V, share, Pi, params)
             layers.append(make_layer(operators(coef, Lf), params.gamma_j))
             V = step(V, layers[-1], eta, lam, i)
     return layers, V, LossCurve(curve)

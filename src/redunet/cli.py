@@ -83,6 +83,14 @@ def _load_features(path: str) -> np.ndarray:
     return read_tensor(path).to_array()
 
 
+def _load_samples(path: str) -> np.ndarray:
+    """(n, m) features, or an augment or forward-inv* bank as (n, N): one column per sample."""
+    X = _load_features(path)
+    if X.ndim > 2:
+        X = np.ascontiguousarray(X.reshape(len(X), np.prod(X.shape[1:], dtype=int)).T)
+    return X
+
+
 def _load_labels(path: str) -> np.ndarray:
     return check_labels(read_tensor(path).to_array())
 
@@ -183,7 +191,7 @@ def _cmd_augment(args) -> str:
 
 
 def _cmd_nsc_fit(args) -> str:
-    Z = _load_features(args.features)
+    Z = _load_samples(args.features)
     labels = _load_labels(args.labels)
     clf = fit_nsc(Z, labels, r=args.r)
     bundle = Path(args.out)
@@ -212,7 +220,7 @@ def _cmd_nsc_predict(args) -> str:
     """Every input, --labels included, is read and checked before the
     predictions are written."""
     clf = _load_nsc_bundle(args.bundle)
-    Z = _load_features(args.features)
+    Z = _load_samples(args.features)
     pred = predict_nsc(clf, Z)
     acc = accuracy(pred, _load_labels(args.labels)) if args.labels else None
     write_tensor(args.out, Tensor.from_array(np.asarray(pred, dtype="<u4")))

@@ -115,22 +115,17 @@ def polar_resample(image: np.ndarray, Gamma: int, C: int) -> np.ndarray:
     ys = cy + radii[:, None] * np.sin(angles)[None, :]
     xs = cx + radii[:, None] * np.cos(angles)[None, :]
 
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    fy = ys - y0
-    fx = xs - x0
-
-    def sample(yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-        inside = (yy >= 0) & (yy < H) & (xx >= 0) & (xx < W)
-        out = np.zeros(image.shape[:-2] + yy.shape)
-        out[..., inside] = image[..., yy[inside], xx[inside]]
-        return out
-
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    fy, fx = ys - y0, xs - x0
+    # every corner lies in rows -1..H and columns -1..W, so one zero border
+    # holds those off the image: padded row y + 1 is image row y
+    pad = np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)])
+    y, x = y0 + 1, x0 + 1
     return (
-        sample(y0, x0) * (1 - fy) * (1 - fx)
-        + sample(y0, x0 + 1) * (1 - fy) * fx
-        + sample(y0 + 1, x0) * fy * (1 - fx)
-        + sample(y0 + 1, x0 + 1) * fy * fx
+        pad[..., y, x] * (1 - fy) * (1 - fx)
+        + pad[..., y, x + 1] * (1 - fy) * fx
+        + pad[..., y + 1, x] * fy * (1 - fx)
+        + pad[..., y + 1, x + 1] * fy * fx
     )
 
 

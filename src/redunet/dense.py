@@ -31,12 +31,12 @@ MODEL_VERSION = 1
 class DenseLayer(_engine.Layer):
     """E (n, n) and C, the k compression operators as one (k, n, n) array,
     are views of the (1, 1 + k, n, n) stack. ``DenseLayer(E, C, gamma_j)``
-    copies them into a new stack, after checking their shapes against
-    gamma_j (k,) and that all three are real; construction and loading make
-    no copy."""
+    copies them into a new float64 stack, after checking their shapes
+    against gamma_j (k,) and that all three are real; construction and
+    loading make no copy."""
 
     def __init__(self, E: np.ndarray, C: np.ndarray, gamma_j: np.ndarray) -> None:
-        super().__init__(_engine.layer_stack(E, C, gamma_j, 0), gamma_j)
+        super().__init__(*_engine.layer_stack(E, C, gamma_j, 0))
 
     @property
     def E(self) -> np.ndarray:

@@ -171,12 +171,12 @@ def lift_random_filters_2d(
 class SpectralLayer(_engine.Layer):
     """E_hat (P', C, C) and C_hat (k, P', C, C), P' the representatives of
     the conjugate pairs, are views of the (P', 1 + k, C, C) stack.
-    ``SpectralLayer(E_hat, C_hat, gamma_j)`` copies them into a new stack,
-    after checking their shapes against gamma_j (k,) and that gamma_j is
-    real; construction and loading make no copy."""
+    ``SpectralLayer(E_hat, C_hat, gamma_j)`` copies them into a new
+    complex128 stack, after checking their shapes against gamma_j (k,) and
+    that gamma_j is real; construction and loading make no copy."""
 
     def __init__(self, E_hat: np.ndarray, C_hat: np.ndarray, gamma_j: np.ndarray) -> None:
-        super().__init__(_engine.layer_stack(E_hat, C_hat, gamma_j, 1), gamma_j)
+        super().__init__(*_engine.layer_stack(E_hat, C_hat, gamma_j, 1))
 
     @property
     def E_hat(self) -> np.ndarray:
@@ -234,8 +234,7 @@ def spectral_rate_reduction(
         raise NumericError("spectra contain non-finite entries")
     share = np.full(len(V), 1 / len(V))
     params = RateParams.compute(V.shape[1], Pi, eps)
-    _, L = _engine.factor(V, share, Pi, params)
-    return _engine.rates(L, share, params.gamma_j)
+    return _engine.factor(V, share, Pi, params)[2]
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,31 @@ def test_nsc_fit_predict_reports_accuracy(tmp_path, capsys):
     assert float(line.split(",")[1]) == 1.0
 
 
+def test_nsc_reads_the_bank_augment_writes_as_its_flattened_columns(tmp_path):
+    # a rank-3 or rank-4 features tensor holds one sample per leading index,
+    # so augment's (N, C, H, W) bank needs no flattening between subcommands
+    x = np.random.default_rng(0).standard_normal((12, 2, 6, 4))
+    write_tensor(tmp_path / "x.rtf", Tensor.from_array(x))
+    write_tensor(tmp_path / "y.rtf", Tensor.from_array((np.arange(12) % 3).astype("<u4")))
+    bank, labels = tmp_path / "bank.rtf", tmp_path / "bank_y.rtf"
+    assert main(["augment", "--features", str(tmp_path / "x.rtf"), "--labels",
+                 str(tmp_path / "y.rtf"), "--stride", "2", "--kind", "2d",
+                 "--out-features", str(bank), "--out-labels", str(labels)]) == 0
+    b = read_tensor(bank).to_array()
+    assert b.shape == (72, 2, 6, 4)
+    flat = tmp_path / "flat.rtf"
+    write_tensor(flat, Tensor.from_array(b.reshape(len(b), -1).T))
+    for features, out in ((bank, tmp_path / "a"), (flat, tmp_path / "b")):
+        assert main(["nsc-fit", "--features", str(features), "--labels", str(labels),
+                     "--r", "3", "--out", str(out)]) == 0
+        assert main(["nsc-predict", "--bundle", str(out), "--features", str(features),
+                     "--out", str(out / "pred.rtf"), "--labels", str(labels)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").glob("*.rtf"))
+    assert names == ["basis_0.rtf", "basis_1.rtf", "basis_2.rtf", "means.rtf", "pred.rtf"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_nsc_predict_with_too_few_labels_exits_3_and_writes_nothing(tmp_path):
     rng = np.random.default_rng(3)
     feats = tmp_path / "feats.rtf"

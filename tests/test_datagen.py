@@ -1,6 +1,7 @@
 """Synthetic generators, polar resampling, and cyclic augmentation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +160,38 @@ def test_polar_resample_of_a_stack_equals_the_per_image_results():
     images = np.random.default_rng(4).random((5, 11, 14))
     np.testing.assert_array_equal(
         polar_resample(images, 9, 4), np.stack([polar_resample(img, 9, 4) for img in images]))
+
+
+def _polar_reference(image, Gamma, C):
+    """Bilinear samples of one H x W image on the polar grid, one sample at a
+    time, each corner off the image read as 0 by an explicit bounds check."""
+    H, W = image.shape
+    radii = (np.arange(1, C + 1) / C) * (min(H, W) / 2.0)
+    angles = np.arange(Gamma) * (2.0 * np.pi / Gamma)
+    ys = (H - 1) / 2.0 + radii[:, None] * np.sin(angles)[None, :]
+    xs = (W - 1) / 2.0 + radii[:, None] * np.cos(angles)[None, :]
+
+    def pixel(y, x):
+        return image[y, x] if 0 <= y < H and 0 <= x < W else 0.0
+
+    out = np.empty((C, Gamma))
+    for i, l in np.ndindex(C, Gamma):
+        y0, x0 = math.floor(ys[i, l]), math.floor(xs[i, l])
+        fy, fx = ys[i, l] - y0, xs[i, l] - x0
+        out[i, l] = (pixel(y0, x0) * (1 - fy) * (1 - fx) + pixel(y0, x0 + 1) * (1 - fy) * fx
+                     + pixel(y0 + 1, x0) * fy * (1 - fx) + pixel(y0 + 1, x0 + 1) * fy * fx)
+    return out
+
+
+@pytest.mark.parametrize("Gamma, C", [(200, 15), (7, 3), (1, 1), (40, 6)])
+@pytest.mark.parametrize("H, W", [(1, 1), (2, 3), (3, 3), (5, 9), (16, 7), (28, 28)])
+def test_polar_resample_is_the_bounds_checked_bilinear_reference(H, W, Gamma, C):
+    # the outer ring reaches half a pixel past the image edge, so its corners
+    # read the zero border; a single image and a stack get the same bits
+    images = np.random.default_rng(H * W + C).standard_normal((2, H, W))
+    reference = np.stack([_polar_reference(img, Gamma, C) for img in images])
+    assert polar_resample(images[0], Gamma, C).tobytes() == reference[0].tobytes()
+    assert polar_resample(images, Gamma, C).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(7,), (2, 3, 7, 7)])

@@ -386,25 +386,49 @@ def test_a_model_needs_nonempty_blocks(kind):
         dataclasses.replace(model, layers=(empty,), **fields)
 
 
-@pytest.mark.parametrize("kind, operand", [
-    *(pytest.param("dense", operand, id=operand) for operand in ("E", "C", "gamma_j")),
-    ("spectral", "gamma_j"),
-])
-def test_a_dense_layer_needs_real_operators(kind, operand):
-    # complex dense operators used to forward to complex features and save
-    # with their imaginary parts dropped, and a complex spectral gamma_j used
-    # to forward into numpy's bare UFuncTypeError; every layer's gamma_j is
-    # real, while a spectral layer's E_hat and C_hat may be complex
+def _layer_operators(kind):
+    """Layer 0 of a two-layer model of ``kind``, its hand-built layer class
+    and its (E, C, gamma_j) by name."""
     model, cls = _model_and_layer_class(kind)
     layer = model.layers[0]
     E, C = (layer.E, layer.C) if kind == "dense" else (layer.E_hat, layer.C_hat)
-    operators = dict(E=E, C=C, gamma_j=layer.gamma_j)
-    operators[operand] = operators[operand] + 1e-3j
+    return layer, cls, dict(E=E, C=C, gamma_j=layer.gamma_j)
+
+
+@pytest.mark.parametrize("kind, operand, dtype", [
+    *(pytest.param("dense", operand, complex, id=operand) for operand in ("E", "C", "gamma_j")),
+    pytest.param("spectral", "gamma_j", complex, id="spectral-gamma_j"),
+    *(pytest.param(kind, operand, dtype, id=f"{kind}-{operand}-{dtype.__name__}")
+      for kind in ("dense", "spectral") for operand in ("E", "C") for dtype in (object, str)),
+])
+def test_a_dense_layer_needs_real_operators(kind, operand, dtype):
+    # complex dense operators used to forward to complex features and save
+    # with their imaginary parts dropped, a complex spectral gamma_j used to
+    # forward into numpy's bare UFuncTypeError, and object or string operators
+    # into a bare TypeError; every layer's gamma_j is real, while a spectral
+    # layer's E_hat and C_hat may be complex
+    layer, cls, operators = _layer_operators(kind)
+    X = operators[operand]
+    operators[operand] = X + 1e-3j if dtype is complex else X.astype(dtype)
     with pytest.raises(DataError, match="real"):
         cls(*operators.values())
-    if kind == "spectral":
+    if kind == "spectral" and dtype is complex:
+        E, C = operators["E"], operators["C"]
         complex_layer = cls(E + 1e-3j, C + 1e-3j, layer.gamma_j)
         np.testing.assert_array_equal(complex_layer.C_hat, C + 1e-3j)
+
+
+@pytest.mark.parametrize("kind, stack_dtype", [("dense", np.float64), ("spectral", np.complex128)])
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+def test_a_hand_built_layer_gets_the_element_type_of_its_kind(kind, stack_dtype, dtype):
+    # a dense stack is float64 and a spectral one complex128, whatever real
+    # or integer type the operators come in; gamma_j is float64
+    _, cls, operators = _layer_operators(kind)
+    E, C = (operators[name].real.round(3).astype(dtype) for name in ("E", "C"))
+    built = cls(E, C, [1, 2])
+    assert built.stack.dtype == stack_dtype and built.gamma_j.dtype == np.float64
+    np.testing.assert_array_equal(built.stack[:, 0], E.reshape(built.stack[:, 0].shape))
+    np.testing.assert_array_equal(built.gamma_j, [1.0, 2.0])
 
 
 # bases for the means zeros((2, 2)); the first is the non-orthonormal

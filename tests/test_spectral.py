@@ -231,6 +231,23 @@ def test_spectral_rate_matches_circulant_family_rate():
     assert spectral_rate_reduction(V, padded, 0.1) == (R, Rc, dR)
 
 
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_each_loss_curve_entry_is_the_rate_reduction_of_its_layer_input(dim):
+    # construction reads entry i off the Cholesky factors of layer i's
+    # half-spectrum stack; the public objective reads the full spectrum
+    if dim == "1d":
+        Z, _, Pi = _samples_1d(seed=9, m=6, C=3, T=5, k=3)
+        build, run, spectrum = construct_inv1d, forward_inv1d, dft_1d
+    else:
+        Z, _, Pi = _samples_2d(seed=9, m=6, C=3, H=4, W=3, k=3)
+        build, run, spectrum = construct_inv2d, forward_inv2d, dft_2d
+    model, _, curve = build(Z, Pi, L=3, eta=0.5, eps=0.1, lam=5.0)
+    for i in range(model.depth):
+        inputs = run(dataclasses.replace(model, layers=model.layers[:i]), Z) if i else Z
+        V = spectrum(inputs).reshape(*Z.shape[:2], -1).T
+        np.testing.assert_allclose(curve[i], spectral_rate_reduction(V, Pi, 0.1), rtol=1e-12)
+
+
 def _oracle_cases(depths):
     """(depth, lam) pairs: lam = 500 makes the softmin one-hot and keeps the
     bare depth as its id; 5 and 0 weight every class product."""
