@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .rate import Membership, RateParams, _as_float, _cholesky
+from .rate import Membership, RateParams, _as_float, _cholesky, check_whole
 
 UNIT_NORM_TOL = 1e-9
 STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V; see samples_per_block()
@@ -308,8 +308,7 @@ def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: flo
     ``make_layer(stack, gamma)`` makes each layer on the stack of :func:`operators`;
     the output is produced by :func:`step` on the stored layer, exactly as
     :func:`forward` replays it. The loss curve entry of each layer describes its input."""
-    if L < 1:
-        raise DataError("at least one layer is required")
+    L = check_whole(L, "layer count L")
     check_step(eta, lam)
     norms = np.sqrt(_sq_norms(V, "pax,pax->x"))
     if not np.all(np.isfinite(norms)):

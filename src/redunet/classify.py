@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyClassError, NumericError, ShapeError
-from .rate import Membership, _check_features, check_labels
+from .rate import Membership, _check_features, check_labels, check_whole
 
 RANK_TOL = 1e-10
 # smallest kept s_q / s_0 the Gram path accepts; its eigenvalues carry an error
@@ -81,8 +81,7 @@ def fit_nsc(Z: np.ndarray, labels: np.ndarray, r: int = 30) -> SubspaceClassifie
     labels = check_labels(labels)
     if Z.shape[1] != labels.size:
         raise ShapeError(f"{Z.shape[1]} feature columns but {labels.size} labels")
-    if r < 0:
-        raise DataError("subspace dimension must be nonnegative")
+    r = check_whole(r, "subspace dimension r", 0)
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
     missing = np.flatnonzero(labels[order[starts]] != np.arange(starts.size))
@@ -187,9 +186,11 @@ def class_cosine_stats(
     """(minimum within-class, maximum absolute between-class) cosine
     similarity over distinct pairs, using hard label membership."""
     labels = np.argmax(Pi.weights, axis=0)
-    m = S.shape[0]
+    S = np.asarray(S)
+    if S.shape != (Pi.m, Pi.m):
+        raise ShapeError(f"expected an ({Pi.m}, {Pi.m}) similarity matrix, got shape {S.shape}")
     same = labels[:, None] == labels[None, :]
-    off = ~np.eye(m, dtype=bool)
+    off = ~np.eye(Pi.m, dtype=bool)
     within = S[same & off]
     between = S[~same]
     min_within = float(within.min()) if within.size else 1.0

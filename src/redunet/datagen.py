@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .rate import Membership
+from .rate import Membership, check_whole
 
 _SHIFT_AXES = {"1d": (-1,), "2d": (-2, -1)}
 
@@ -52,9 +52,9 @@ def gen_gaussian_sphere(spec: GaussianMixtureSpec) -> tuple[np.ndarray, Membersh
     projected back onto the unit sphere. Returns (n x k*m features, labels)."""
     if not 0 < spec.sigma < np.inf:
         raise DataError(f"sigma must be positive and finite, got {spec.sigma}")
-    if spec.m_per_class < 1 or spec.k < 1 or spec.n < 1:
-        raise DataError("dimensions and counts must be positive")
-    rng = np.random.default_rng(spec.seed)
+    for name in ("n", "k", "m_per_class"):
+        check_whole(getattr(spec, name), name)
+    rng = np.random.default_rng(check_whole(spec.seed, "seed", 0))
     if spec.means is None:
         means = rng.standard_normal((spec.k, spec.n))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -77,14 +77,14 @@ def gen_orthogonal_subspaces(spec: SubspaceSpec) -> tuple[np.ndarray, Membership
     single QR factor, so between-class inner products vanish. Otherwise each
     class gets an independent random orthonormal basis.
     """
+    for name in ("n", "k", "d_j", "m_per_class"):
+        check_whole(getattr(spec, name), name)
     d, k, n = spec.d_j, spec.k, spec.n
-    if d < 1 or k < 1 or spec.m_per_class < 1:
-        raise DataError("dimensions and counts must be positive")
     if d > n or (spec.orthogonal and k * d > n):
         raise DataError(
             f"cannot fit {k} mutually orthogonal {d}-dimensional subspaces in R^{n}"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(check_whole(spec.seed, "seed", 0))
     if spec.orthogonal:
         Q, _ = np.linalg.qr(rng.standard_normal((n, k * d)))
         bases = np.split(Q, k, axis=1)
@@ -106,8 +106,7 @@ def polar_resample(image: np.ndarray, Gamma: int, C: int) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.ndim not in (2, 3):
         raise ShapeError("expected an H x W image or an m x H x W stack")
-    if Gamma < 1 or C < 1:
-        raise DataError("angle and radius counts must be positive")
+    Gamma, C = check_whole(Gamma, "Gamma"), check_whole(C, "C")
     H, W = image.shape[-2:]
     cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
     radii = (np.arange(1, C + 1) / C) * (min(H, W) / 2.0)
@@ -134,6 +133,7 @@ def translate2d(image: np.ndarray, p: int, q: int) -> np.ndarray:
     image = np.asarray(image)
     if image.ndim < 2:
         raise ShapeError("expected at least a 2D image")
+    p, q = check_whole(p, "p", -np.inf), check_whole(q, "q", -np.inf)
     return np.roll(image, (p, q), axis=(-2, -1))
 
 
@@ -150,8 +150,7 @@ def augment_shifts(
     """
     X = np.asarray(X)
     labels = np.asarray(labels).ravel()
-    if stride <= 0:
-        raise DataError("stride must be positive")
+    stride = check_whole(stride, "stride")
     if kind not in _SHIFT_AXES:
         raise DataError(f"unknown augmentation kind {kind!r}")
     axes = _SHIFT_AXES[kind]

@@ -29,6 +29,16 @@ def check_labels(labels) -> np.ndarray:
     return y.astype(int)
 
 
+def check_whole(x, name: str, least=1, below=math.inf) -> int:
+    """x as an int, if it is a Python or numpy integer (a bool reads as 0 or
+    1, as in range()) with least <= x < below; else DataError, for a float
+    of whole value too. The one owner of the rule for counts, seeds, shifts
+    and class indices."""
+    if not (isinstance(x, (int, np.integer)) and least <= x < below):
+        raise DataError(f"{name} must be a whole number in {least}..{below - 1}, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class Membership:
     """Soft class-assignment weights: row j holds the diagonal of the j-th
@@ -50,12 +60,10 @@ class Membership:
     @classmethod
     def from_labels(cls, labels, k: int | None = None) -> "Membership":
         labels = check_labels(labels)
-        if k is None:
-            k = int(labels.max(initial=-1)) + 1
-            if k > labels.size:
-                raise DataError(f"labels name {k} classes for only {labels.size} samples")
-        elif labels.size and labels.max() >= k:
-            raise DataError(f"labels must lie in 0..{k - 1}")
+        least = int(labels.max(initial=-1)) + 1
+        if k is None and least > labels.size:
+            raise DataError(f"labels name {least} classes for only {labels.size} samples")
+        k = least if k is None else check_whole(k, "class count k", least)
         w = np.zeros((k, labels.size))
         w[labels, np.arange(labels.size)] = 1.0
         return cls(w)
@@ -195,6 +203,7 @@ def compression_operator(
 ) -> np.ndarray:
     """alpha_j * (I + alpha_j Z Pi_j Z^T)^-1 for a nonempty class j."""
     Z = _check_features(Z)
+    j = check_whole(j, "class index j", 0, Pi.k)
     if Pi.class_sizes[j] <= 0:
         raise EmptyClassError(f"class {j} has zero total membership")
     return _operator(params.alpha_j[j], Z, Pi.weights[j])

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _engine
 from .errors import BadMagicError, DataError, FormatError, NumericError, ShapeError
-from .rate import Membership, RateParams
+from .rate import Membership, RateParams, check_whole
 from .tensorio import ContainerReader
 
 INV_MAGIC = b"RNS1"
@@ -128,9 +128,9 @@ def _lift(X: np.ndarray, C: int, K: int, seed: int, tau: float, nd: int) -> np.n
     ``dims``, each output channel summing the responses over the input
     channels; then a soft threshold at ``tau``."""
     dims = X.shape[2:]
-    if C < 1 or K < 1 or K > min(dims):
-        raise DataError(f"need C >= 1 and 1 <= K <= {min(dims)}, got C={C} and K={K}")
-    kernels = np.random.default_rng(seed).standard_normal((C, X.shape[1]) + (K,) * nd)
+    C, K = check_whole(C, "C"), check_whole(K, "K", below=min(dims) + 1)
+    kernels = np.random.default_rng(check_whole(seed, "seed", 0)).standard_normal(
+        (C, X.shape[1]) + (K,) * nd)
     return soft_threshold(_convolve(kernels, X, "kc...,mc...->mk...", nd), tau)
 
 
@@ -308,16 +308,12 @@ def _to_spectral(Zbar: np.ndarray, half: _HalfSpectrum) -> np.ndarray:
 
 def _from_spectral(V: np.ndarray, half: _HalfSpectrum) -> np.ndarray:
     """Inverse of :func:`_to_spectral`: (P, C, m) -> (m, C, *half.dims) real.
-    The grid is filled, then divided in place by sqrt(w) of each entry's
-    representative (the dropped entries' partners all have w = 2)."""
+    The representatives are divided by sqrt(w) straight into the grid, V
+    left as it is, and each dropped entry is its partner's conjugate."""
     P, C, m = V.shape
     grid = np.empty((math.prod(half.shape), C, m), dtype=complex)
-    grid[half.keep] = V
+    _engine._real(grid)[half.keep] = _engine._real(V) / np.sqrt(half.w)[:, None, None]
     grid[half.dropped] = grid[half.partner].conj()
-    sqrt_w = np.full(len(grid), math.sqrt(2.0))
-    sqrt_w[half.keep] = np.sqrt(half.w)
-    grid_r = _engine._real(grid)
-    grid_r /= sqrt_w[:, None, None]
     grid = grid.T.reshape(m, C, *half.shape)
     return np.fft.irfftn(grid, s=half.dims, axes=range(2, grid.ndim), norm="ortho")
 

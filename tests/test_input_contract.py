@@ -1,7 +1,7 @@
-"""The input contract: labels, eps/eta/lambda, features and model headers are
-each checked in one place, NaN fails every check, and every CLI subcommand
-fed malformed input exits 2, 3 or 4 instead of raising or writing a wrong
-answer."""
+"""The input contract: labels, whole-number arguments, eps/eta/lambda,
+features and model headers are each checked in one place, NaN fails every
+check, and every CLI subcommand fed malformed input exits 2, 3 or 4 instead
+of raising or writing a wrong answer."""
 
 import argparse
 import dataclasses
@@ -22,9 +22,12 @@ from redunet import (
     ShapeError,
     SpectralLayer,
     SubspaceClassifier,
+    SubspaceSpec,
     Tensor,
     augment_shifts,
+    class_cosine_stats,
     coding_rate_partitioned,
+    compression_operator,
     construct,
     construct_inv1d,
     construct_inv2d,
@@ -34,13 +37,18 @@ from redunet import (
     forward,
     forward_inv1d,
     gen_gaussian_sphere,
+    gen_orthogonal_subspaces,
     layer_increment,
+    lift_random_filters_1d,
+    lift_random_filters_2d,
     normalize_samples_time,
+    polar_resample,
     predict_nsc,
     rate_reduction,
     read_tensor,
     save_model,
     sphere_project,
+    translate2d,
     write_tensor,
 )
 from redunet.cli import build_parser, main
@@ -488,6 +496,86 @@ def test_2d_augmentation_of_1d_features_is_a_shape_error():
         augment_shifts(np.ones(4), np.zeros(4), stride=1, kind="2d")
 
 
+def test_cosine_stats_need_one_similarity_per_pair_of_samples():
+    Z, y = _dense_problem()
+    S, Pi = cosine_similarity_matrix(Z), Membership.from_labels(y)
+    for bad in (S[:-1, :-1], np.pad(S, 1), S[:, :-1], S[0]):
+        with pytest.raises(ShapeError):
+            class_cosine_stats(bad, Pi)
+    assert class_cosine_stats(S.tolist(), Pi) == class_cosine_stats(S, Pi)
+
+
+# ---------------------------------------------------------------------------
+# counts, seeds, shifts and class indices: rate.check_whole is the one owner
+
+
+def _gaussians(**fields):
+    spec = dict(n=3, k=2, m_per_class=2, sigma=0.1, seed=0) | fields
+    return gen_gaussian_sphere(GaussianMixtureSpec(**spec))[0]
+
+
+def _subspaces(**fields):
+    spec = dict(n=6, k=2, d_j=2, m_per_class=3, seed=0) | fields
+    return gen_orthogonal_subspaces(SubspaceSpec(**spec))[0]
+
+
+def _dense_construct(L):
+    Z, y = _dense_problem()
+    return construct(Z, Membership.from_labels(y), L=L, eta=0.5, eps=0.5)[1]
+
+
+def _dense_operator(j):
+    Z, y = _dense_problem()
+    Pi = Membership.from_labels(y)
+    return compression_operator(Z, Pi, j, RateParams.compute(3, Pi, 0.5))
+
+
+_IMAGE = np.arange(30.0).reshape(5, 6)
+_SIGNALS = np.random.default_rng(3).standard_normal((2, 6))
+
+# argument -> (the call with that argument set to x, a valid value, a value past
+# its bound, {further value accepted: its output, or None where any output will do})
+WHOLE_ARGUMENTS = {
+    "construct-L": (_dense_construct, 2, 0, {}),
+    "fit_nsc-r": (lambda x: fit_nsc(*_dense_problem(), r=x).bases[0], 1, -1, {}),
+    **{f"gaussians-{f}": (lambda x, f=f: _gaussians(**{f: x}), 2, 0, {})
+       for f in ("n", "k", "m_per_class")},
+    "gaussians-seed": (lambda x: _gaussians(seed=x), 1, -1, {2**70: None}),
+    **{f"subspaces-{f}": (lambda x, f=f: _subspaces(**{f: x}), good, 0, {})
+       for f, good in (("n", 6), ("k", 2), ("d_j", 2), ("m_per_class", 3))},
+    "subspaces-seed": (lambda x: _subspaces(seed=x), 1, -1, {2**70: None}),
+    "polar-Gamma": (lambda x: polar_resample(_IMAGE, x, 3), 12, 0, {}),
+    "polar-C": (lambda x: polar_resample(_IMAGE, 12, x), 3, 0, {}),
+    # a shift may have any sign, so the value "past its bound" is a float of whole value
+    "translate-p": (lambda x: translate2d(_IMAGE, x, np.int64(2)), 1, 1.0,
+                    {-3: np.roll(_IMAGE, (-3, 2), axis=(0, 1))}),
+    "translate-q": (lambda x: translate2d(_IMAGE, -3, x), 2, 2.0,
+                    {np.int64(2): np.roll(_IMAGE, (-3, 2), axis=(0, 1))}),
+    "augment-stride": (lambda x: augment_shifts(_SIGNALS, [0, 1], x, "1d")[0], 2, 0, {}),
+    "lift1d-C": (lambda x: lift_random_filters_1d(_SIGNALS, x, 3, 0), 2, 0, {}),
+    "lift1d-K": (lambda x: lift_random_filters_1d(_SIGNALS, 2, x, 0), 3, 7, {6: None}),
+    "lift1d-seed": (lambda x: lift_random_filters_1d(_SIGNALS, 2, 3, x), 1, -1, {2**70: None}),
+    "lift2d-K": (lambda x: lift_random_filters_2d(_IMAGE[None], 2, x, 0), 3, 6, {5: None}),
+    "from_labels-k": (lambda x: Membership.from_labels([0, 2, 1], k=x).weights, 3, 2, {}),
+    "from_labels-k-empty": (lambda x: Membership.from_labels([], k=x).weights, 2, -1, {0: None}),
+    "compression-j": (_dense_operator, 1, 2, {0: None}),
+    "compression-j-negative": (_dense_operator, 0, -1, {}),
+}
+
+
+@pytest.mark.parametrize("argument", WHOLE_ARGUMENTS)
+def test_every_count_seed_shift_and_class_index_is_a_whole_number_in_range(argument):
+    call, good, past, accepted = WHOLE_ARGUMENTS[argument]
+    for bad in (2.5, NAN, past):
+        with pytest.raises(DataError, match="must be a whole number"):
+            call(bad)
+    np.testing.assert_array_equal(call(np.int64(good)), call(good))
+    for value, expected in accepted.items():
+        out = call(value)
+        if expected is not None:
+            np.testing.assert_array_equal(out, expected)
+
+
 # ---------------------------------------------------------------------------
 # every CLI subcommand, one by one
 
@@ -576,6 +664,9 @@ CASES = {
         ["gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", per_class,
          "--sigma", sigma, "--seed", "0", "--out-features", "out", "--out-labels", "out"]
         for per_class, sigma in (("2", "nan"), ("2", "inf"), ("2", "-1"), ("0", "0.1"))
+    ] + [
+        ["gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", "2", "--sigma", "0.1",
+         "--seed", "-1", "--out-features", "out", "--out-labels", "out_labels"],
     ],
     "rate": [
         ["rate", "--features", "feats", "--labels", "labels", "--eps", "nan"],
@@ -609,6 +700,8 @@ CASES = {
          "--seed", "0", "--out", "out"],
         ["lift1d", "--features", "feats", "--channels", "2", "--kernel-size", "9",
          "--seed", "0", "--out", "out"],
+        ["lift1d", "--features", "feats", "--channels", "2", "--kernel-size", "2",
+         "--seed", "-1", "--out", "out"],
     ],
     "polar": [
         ["polar", "--images", "vec", "--gamma", "4", "--radii", "2", "--out", "out"],
@@ -685,3 +778,10 @@ def test_eps_outside_the_float_range_and_an_empty_class_exit_3(files, command, t
     assert len(cases) == (3 if command == "rate" else 4)
     for argv in cases:
         assert _run(files, argv, tmp_path, capsys) == 3, argv
+
+
+@pytest.mark.parametrize("command", ["gen-gaussians", "lift1d"])
+def test_a_negative_seed_exits_3_and_writes_nothing(files, command, tmp_path, capsys):
+    (argv,) = [argv for argv in CASES[command] if argv[argv.index("--seed") + 1] == "-1"]
+    assert _run(files, argv, tmp_path, capsys) == 3
+    assert not any(tmp_path.iterdir())
