@@ -13,9 +13,13 @@ samples' spectra (complex).
 
 Per layer the whole-set matrix and the k class matrices
 
-    A_j(p) = I + (a_j / s_p) V(p) W_j V(p)^H      (W_0 = I, W_j = diag(Pi_j))
+    A_0(p) = I + (a_0 / s_p) V(p) V(p)^H,   A_j(p) = I + (a_j / s_p) U_j(p) U_j(p)^H
 
-are filled into one (P, 1 + k, d, d) stack and Cholesky-factored once. The
+are filled into one (P, 1 + k, d, d) stack and Cholesky-factored once. U_j
+is class j's own columns of V (:meth:`redunet.rate.Membership.columns`):
+for labels a view of V when the class is contiguous, else a gather, and for
+soft weights the columns of nonzero pi_j scaled by sqrt(pi_j); so U_j U_j^H =
+V diag(Pi_j) V^H, and class j's product reads its m_j samples, not all m. The
 coefficients a_0 = alpha, a_j = alpha_j and the class shares gamma_j come
 from :class:`redunet.rate.RateParams`, computed once per construction,
 where an empty class has alpha_j = 0, so its block is the identity. The
@@ -190,17 +194,17 @@ def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
     """The coefficients a_j, the Cholesky factors L of the (P, 1 + k, d, d)
     stack for frequency shares ``share`` and the (R, Rc, dR) on L's diagonal:
     a_0 = alpha and a_j = alpha_j from ``params``, 0 for an empty class, whose
-    block is the identity and adds nothing to the rate. Row j adds sum_p s_p
-    logdet(A_j(p)) / 2, the rate of the whole shift family over its copies."""
-    P, d, m = V.shape
-    if Pi.m != m:
-        raise ShapeError(f"membership covers {Pi.m} samples, features have {m}")
+    block is the identity and adds nothing to the rate. Class j's block is
+    filled from its own columns U_j of V (:meth:`Membership.columns`) as
+    U_j U_j^H. Row j adds sum_p s_p logdet(A_j(p)) / 2, the rate of the whole
+    shift family over its copies."""
+    P, d, _ = V.shape
     coef = np.concatenate(([params.alpha], params.alpha_j))
-    Vh = _herm(V)
     A = np.empty((P, 1 + Pi.k, d, d), dtype=V.dtype)
-    np.matmul(V, Vh, out=A[:, 0])
-    for j, pi_j in enumerate(Pi.weights, start=1):
-        np.matmul(V * pi_j, Vh, out=A[:, j])
+    np.matmul(V, _herm(V), out=A[:, 0])
+    for j in range(Pi.k):
+        U = Pi.columns(V, j)[0]
+        np.matmul(U, _herm(U), out=A[:, 1 + j])
     A *= (coef / share[:, None])[:, :, None, None]
     A += np.eye(d)
     L = _cholesky(A)

@@ -185,7 +185,7 @@ def class_cosine_stats(
 ) -> tuple[float, float]:
     """(minimum within-class, maximum absolute between-class) cosine
     similarity over distinct pairs, using hard label membership."""
-    labels = np.argmax(Pi.weights, axis=0)
+    labels = Pi.labels
     S = np.asarray(S)
     if S.shape != (Pi.m, Pi.m):
         raise ShapeError(f"expected an ({Pi.m}, {Pi.m}) similarity matrix, got shape {S.shape}")

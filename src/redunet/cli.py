@@ -121,7 +121,7 @@ def _cmd_gen_gaussians(args) -> str:
         sigma=args.sigma, seed=args.seed,
     )
     Z, Pi = gen_gaussian_sphere(spec)
-    labels = np.argmax(Pi.weights, axis=0).astype("<u4")
+    labels = Pi.labels.astype("<u4")
     write_tensor(args.out_features, Tensor.from_array(Z))
     write_tensor(args.out_labels, Tensor.from_array(labels))
     return args.out_features

@@ -54,7 +54,7 @@ def gen_gaussian_sphere(spec: GaussianMixtureSpec) -> tuple[np.ndarray, Membersh
         raise DataError(f"sigma must be positive and finite, got {spec.sigma}")
     for name in ("n", "k", "m_per_class"):
         check_whole(getattr(spec, name), name)
-    rng = np.random.default_rng(check_whole(spec.seed, "seed", 0))
+    rng = np.random.default_rng(check_whole(spec.seed, "seed", 0, np.inf))
     if spec.means is None:
         means = rng.standard_normal((spec.k, spec.n))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -84,7 +84,7 @@ def gen_orthogonal_subspaces(spec: SubspaceSpec) -> tuple[np.ndarray, Membership
         raise DataError(
             f"cannot fit {k} mutually orthogonal {d}-dimensional subspaces in R^{n}"
         )
-    rng = np.random.default_rng(check_whole(spec.seed, "seed", 0))
+    rng = np.random.default_rng(check_whole(spec.seed, "seed", 0, np.inf))
     if spec.orthogonal:
         Q, _ = np.linalg.qr(rng.standard_normal((n, k * d)))
         bases = np.split(Q, k, axis=1)
@@ -133,7 +133,7 @@ def translate2d(image: np.ndarray, p: int, q: int) -> np.ndarray:
     image = np.asarray(image)
     if image.ndim < 2:
         raise ShapeError("expected at least a 2D image")
-    p, q = check_whole(p, "p", -np.inf), check_whole(q, "q", -np.inf)
+    p, q = check_whole(p, "p", -np.inf, np.inf), check_whole(q, "q", -np.inf, np.inf)
     return np.roll(image, (p, q), axis=(-2, -1))
 
 

@@ -18,6 +18,7 @@ from .errors import DataError, EmptyClassError, NumericError, ShapeError
 
 COLUMN_SUM_TOL = 1e-9
 LABEL_LIMIT = 2**32  # label files store uint32
+COUNT_LIMIT = int(np.iinfo(np.intp).max)  # a count must index a numpy axis; see check_whole()
 
 
 def check_labels(labels) -> np.ndarray:
@@ -29,25 +30,27 @@ def check_labels(labels) -> np.ndarray:
     return y.astype(int)
 
 
-def check_whole(x, name: str, least=1, below=math.inf) -> int:
+def check_whole(x, name: str, least=1, below=COUNT_LIMIT) -> int:
     """x as an int, if it is a Python or numpy integer (a bool reads as 0 or
     1, as in range()) with least <= x < below; else DataError, for a float
     of whole value too. The one owner of the rule for counts, seeds, shifts
-    and class indices."""
+    and class indices. The default bound keeps a count inside numpy's index
+    range; seeds and shifts, which size no axis, pass below=inf."""
     if not (isinstance(x, (int, np.integer)) and least <= x < below):
         raise DataError(f"{name} must be a whole number in {least}..{below - 1}, got {x!r}")
     return int(x)
 
 
-@dataclass(frozen=True)
 class Membership:
-    """Soft class-assignment weights: row j holds the diagonal of the j-th
-    class weighting matrix. Columns sum to one."""
+    """The assignment of m samples to k classes. ``Membership(weights)`` takes
+    soft weights: row j of the (k, m) matrix holds the diagonal of the j-th
+    class weighting matrix Pi_j, and columns sum to one. :meth:`from_labels`
+    keeps hard labels and each class's columns instead, and makes the k x m
+    ``weights`` only when they are read. :meth:`columns` is the one way the
+    engine and the rate reference reach a class."""
 
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.atleast_2d(np.asarray(self.weights, dtype=float))
+    def __init__(self, weights) -> None:
+        w = np.atleast_2d(np.asarray(weights, dtype=float))
         if not np.all((w >= -COLUMN_SUM_TOL) & (w <= 1 + COLUMN_SUM_TOL)):
             raise DataError("membership weights must lie in [0, 1]")
         deviation = np.abs(w.sum(axis=0) - 1.0)
@@ -55,30 +58,68 @@ class Membership:
             raise DataError(
                 f"membership columns must sum to 1 (max deviation {np.max(deviation):.3e})"
             )
-        object.__setattr__(self, "weights", w)
+        self._weights, self._labels, self._sizes = w, None, w.sum(axis=1)
 
     @classmethod
     def from_labels(cls, labels, k: int | None = None) -> "Membership":
+        """Sample i in class labels[i], of k classes: the largest label + 1 if
+        k is None, which may not exceed the number of samples. Class j's
+        columns are kept as a slice when they are contiguous, else as their
+        indices; no k x m matrix is made."""
         labels = check_labels(labels)
         least = int(labels.max(initial=-1)) + 1
         if k is None and least > labels.size:
             raise DataError(f"labels name {least} classes for only {labels.size} samples")
         k = least if k is None else check_whole(k, "class count k", least)
-        w = np.zeros((k, labels.size))
-        w[labels, np.arange(labels.size)] = 1.0
-        return cls(w)
+        labels.flags.writeable = False  # Pi.labels keeps matching the columns kept below
+        sizes = np.bincount(labels, minlength=k)
+        order = np.argsort(labels, kind="stable")
+        cols = (order[end - size:end] for size, end in zip(sizes, np.cumsum(sizes)))
+        Pi = object.__new__(cls)
+        Pi._weights, Pi._labels, Pi._sizes = None, labels, sizes.astype(float)
+        Pi._cols = tuple(slice(int(c[0]), int(c[-1]) + 1) if c.size and c[-1] - c[0] == c.size - 1
+                         else c for c in cols)
+        return Pi
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._labels is None:
+            return self._weights
+        w = np.zeros((self.k, self.m))
+        w[self._labels, np.arange(self.m)] = 1.0
+        return w
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Each sample's class: its label, or for soft weights the class of
+        largest weight."""
+        return np.argmax(self._weights, axis=0) if self._labels is None else self._labels
 
     @property
     def k(self) -> int:
-        return self.weights.shape[0]
+        return len(self._sizes)
 
     @property
     def m(self) -> int:
-        return self.weights.shape[1]
+        return self._weights.shape[1] if self._labels is None else self._labels.size
 
     @property
     def class_sizes(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
+        return self._sizes
+
+    def columns(self, X: np.ndarray, j: int) -> tuple:
+        """Class j's columns of X (..., m) as (U, cols, root), with U U^H =
+        X Pi_j X^H. Label-built: U = X[..., cols], a view if class j is
+        contiguous, and root None. Soft: cols are the columns where pi_j > 0
+        (weights that the tolerance lets fall below 0 count as 0), root =
+        sqrt(pi_j) there and U = X[..., cols] * root."""
+        if X.shape[-1] != self.m:
+            raise ShapeError(f"membership covers {self.m} samples, features have {X.shape[-1]}")
+        if self._labels is not None:
+            return X[..., self._cols[j]], self._cols[j], None
+        cols = np.flatnonzero(self._weights[j] > 0)
+        root = np.sqrt(self._weights[j, cols])
+        return X[..., cols] * root, cols, root
 
 
 def _as_float(x) -> float:
@@ -149,12 +190,9 @@ def logdet_spd(A: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.real(np.diagonal(_cholesky(A))))))
 
 
-def _rate_from_scatter(scale: float, Z: np.ndarray, weights=1.0) -> float:
-    """1/2 logdet(I + scale * Z diag(weights) Z^T) = 1/2 logdet(I + scale * W W^T)
-    with W = Z sqrt(weights), from the Gram matrix of W on its smaller side:
-    logdet(I + c W W^T) = logdet(I + c W^T W). Weights that the membership
-    tolerance lets fall below 0 count as 0."""
-    W = Z * np.sqrt(np.maximum(weights, 0.0))
+def _rate_from_scatter(scale: float, W: np.ndarray) -> float:
+    """1/2 logdet(I + scale * W W^T), from the Gram matrix of W on its smaller
+    side: logdet(I + c W W^T) = logdet(I + c W^T W)."""
     G = W.T @ W if W.shape[1] < W.shape[0] else W @ W.T
     return 0.5 * logdet_spd(np.eye(len(G)) + scale * G)
 
@@ -171,11 +209,9 @@ def coding_rate_partitioned(Z: np.ndarray, Pi: Membership, eps: float) -> float:
     alpha_j = 0 and contributes gamma_j logdet(I) = 0."""
     Z = _check_features(Z)
     params = RateParams.compute(len(Z), Pi, eps)
-    if Pi.m != Z.shape[1]:
-        raise ShapeError(f"membership covers {Pi.m} samples, features have {Z.shape[1]}")
     total = 0.0
-    for a_j, g_j, pi_j in zip(params.alpha_j, params.gamma_j, Pi.weights):
-        total += g_j * _rate_from_scatter(a_j, Z, pi_j)
+    for j, (a_j, g_j) in enumerate(zip(params.alpha_j, params.gamma_j)):
+        total += g_j * _rate_from_scatter(a_j, Pi.columns(Z, j)[0])
     return total
 
 
@@ -186,9 +222,9 @@ def rate_reduction(Z: np.ndarray, Pi: Membership, eps: float) -> tuple[float, fl
     return R, Rc, R - Rc
 
 
-def _operator(a: float, Z: np.ndarray, weights=1.0) -> np.ndarray:
-    """a * (I + a Z diag(weights) Z^T)^-1, symmetrised, from one Cholesky factor."""
-    inv_L = np.linalg.inv(_cholesky(np.eye(len(Z)) + a * ((Z * weights) @ Z.T)))
+def _operator(a: float, W: np.ndarray) -> np.ndarray:
+    """a * (I + a W W^T)^-1, symmetrised, from one Cholesky factor."""
+    inv_L = np.linalg.inv(_cholesky(np.eye(len(W)) + a * (W @ W.T)))
     M = a * (inv_L.T @ inv_L)
     return 0.5 * (M + M.T)
 
@@ -206,14 +242,17 @@ def compression_operator(
     j = check_whole(j, "class index j", 0, Pi.k)
     if Pi.class_sizes[j] <= 0:
         raise EmptyClassError(f"class {j} has zero total membership")
-    return _operator(params.alpha_j[j], Z, Pi.weights[j])
+    return _operator(params.alpha_j[j], Pi.columns(Z, j)[0])
 
 
 def rate_gradient(Z: np.ndarray, Pi: Membership, params: RateParams) -> np.ndarray:
     """Exact gradient of the rate reduction with respect to Z:
-    E Z - sum_j gamma_j C_j Z Pi_j. An empty class has alpha_j = 0, so C_j = 0."""
+    E Z - sum_j gamma_j C_j Z Pi_j, where Z Pi_j is U root on class j's
+    columns (:meth:`Membership.columns`) and 0 elsewhere. An empty class has
+    alpha_j = 0, so C_j = 0."""
     Z = _check_features(Z)
     grad = _operator(params.alpha, Z) @ Z
-    for a_j, g_j, pi_j in zip(params.alpha_j, params.gamma_j, Pi.weights):
-        grad -= g_j * (_operator(a_j, Z, pi_j) @ (Z * pi_j))
+    for j, (a_j, g_j) in enumerate(zip(params.alpha_j, params.gamma_j)):
+        U, cols, root = Pi.columns(Z, j)
+        grad[:, cols] -= g_j * (_operator(a_j, U) @ (U if root is None else U * root))
     return grad

@@ -129,7 +129,7 @@ def _lift(X: np.ndarray, C: int, K: int, seed: int, tau: float, nd: int) -> np.n
     channels; then a soft threshold at ``tau``."""
     dims = X.shape[2:]
     C, K = check_whole(C, "C"), check_whole(K, "K", below=min(dims) + 1)
-    kernels = np.random.default_rng(check_whole(seed, "seed", 0)).standard_normal(
+    kernels = np.random.default_rng(check_whole(seed, "seed", 0, math.inf)).standard_normal(
         (C, X.shape[1]) + (K,) * nd)
     return soft_threshold(_convolve(kernels, X, "kc...,mc...->mk...", nd), tau)
 

@@ -1,5 +1,6 @@
-"""The layer engine: its operator stack, the stacked class products, the
-flushed softmin and the file layout of the stack."""
+"""The layer engine: its operator stack and the class columns it is filled
+from, the stacked class products, the flushed softmin and the file layout of
+the stack."""
 
 import pickle
 import struct
@@ -11,19 +12,28 @@ import pytest
 
 from redunet import (
     Membership,
+    RateParams,
+    Tensor,
+    class_cosine_stats,
+    compression_operator,
     construct,
     construct_inv1d,
     construct_inv2d,
+    cosine_similarity_matrix,
     forward,
     forward_inv1d,
     forward_inv2d,
     load_invariant_model,
     load_model,
     normalize_samples_time,
+    rate_gradient,
+    rate_reduction,
     save_invariant_model,
     save_model,
+    write_tensor,
 )
 from redunet import _engine
+from redunet.cli import main
 from redunet.tensorio import ContainerReader
 
 
@@ -61,6 +71,94 @@ def test_membership_flushes_weights_past_the_gap_and_keeps_the_rest(dtype):
     assert np.all(w[flushed] == 0.0)
     np.testing.assert_array_equal(w[~flushed], _unflushed_membership(CV, lam)[~flushed])
     np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+
+def _one_hot(labels, k):
+    """The soft membership of the same labels: the dense k x m matrix of 0s and 1s."""
+    w = np.zeros((k, len(labels)))
+    w[labels, np.arange(len(labels))] = 1.0
+    return Membership(w)
+
+
+# name -> (labels, explicit k or None); class sizes differ, so two classes with
+# their columns swapped give other blocks
+LABELINGS = {
+    "contiguous": (np.repeat([0, 1, 2], [3, 4, 5]), None),
+    "shuffled": (np.random.default_rng(33).permutation(np.repeat([0, 1, 2], [3, 4, 5])), None),
+    "empty-classes": (np.repeat([2, 0, 3], [3, 4, 5]), 5),  # classes 1 and 4 are empty
+}
+
+
+@pytest.mark.parametrize("labeling", LABELINGS)
+@pytest.mark.parametrize("P, dtype", [(1, float), (4, complex)], ids=["dense", "spectral"])
+def test_factor_fills_each_class_block_from_the_class_columns(labeling, P, dtype):
+    labels, k = LABELINGS[labeling]
+    Pi = Membership.from_labels(labels, k)
+    hot = _one_hot(labels, Pi.k)
+    np.testing.assert_array_equal(Pi.weights, hot.weights)
+    rng = np.random.default_rng(34)
+    d = 3
+    V = _random(rng, (P, d, len(labels)), dtype)
+    share = rng.uniform(0.5, 1.0, P)
+    share /= share.sum()
+    coef, L, rates = _engine.factor(V, share, Pi, RateParams.compute(d, Pi, 0.5))
+    coef1, L1, rates1 = _engine.factor(V, share, hot, RateParams.compute(d, hot, 0.5))
+    np.testing.assert_array_equal(coef, coef1)
+    np.testing.assert_allclose(L, L1, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rates, rates1, rtol=1e-12, atol=0)
+    # the blocks I + (a_j / s_p) V(p) diag(Pi_j) V(p)^H, filled over all m samples
+    W = np.vstack([np.ones(len(labels)), hot.weights])
+    A = np.eye(d) + np.einsum("j,p,pax,jx,pbx->pjab", coef, 1 / share, V, W, V.conj())
+    np.testing.assert_allclose(L @ _engine._herm(L), A, rtol=1e-12, atol=1e-12 * np.abs(A).max())
+    for j in np.flatnonzero(Pi.class_sizes == 0):
+        np.testing.assert_array_equal(L[:, 1 + j], np.broadcast_to(np.eye(d), (P, d, d)))
+
+
+@pytest.mark.parametrize("labeling", ["contiguous", "shuffled"])
+@pytest.mark.parametrize("kind", ["dense", "inv1d"])
+def test_a_label_built_and_a_one_hot_membership_build_the_same_network(labeling, kind):
+    labels, _ = LABELINGS[labeling]
+    rng = np.random.default_rng(35)
+    if kind == "dense":
+        Z = rng.standard_normal((3, len(labels)))
+        Z, build = Z / np.linalg.norm(Z, axis=0), construct
+    else:
+        Z, build = normalize_samples_time(rng.standard_normal((len(labels), 2, 6))), construct_inv1d
+    runs = [build(Z, Pi, L=3, eta=0.5, eps=0.5, lam=3.0)
+            for Pi in (Membership.from_labels(labels), _one_hot(labels, 3))]
+    (model, out, curve), (model1, out1, curve1) = runs
+    np.testing.assert_allclose(out, out1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curve.values, curve1.values, rtol=1e-12, atol=0)
+    for layer, layer1 in zip(model.layers, model1.layers):
+        np.testing.assert_allclose(layer.stack, layer1.stack, rtol=0,
+                                   atol=1e-12 * np.abs(layer1.stack).max())
+
+
+def test_no_engine_reference_or_cli_path_makes_the_weights_of_labels(monkeypatch, tmp_path):
+    monkeypatch.setattr(Membership, "weights", property(lambda _: pytest.fail("weights made")))
+    labels, _ = LABELINGS["shuffled"]
+    Pi = Membership.from_labels(labels)
+    rng = np.random.default_rng(36)
+    Z = rng.standard_normal((3, len(labels)))
+    Z /= np.linalg.norm(Z, axis=0)
+    construct(Z, Pi, L=2, eta=0.5, eps=0.5)
+    construct_inv1d(normalize_samples_time(rng.standard_normal((12, 2, 6))), Pi, 2, 0.5, 0.5)
+    construct_inv2d(normalize_samples_time(rng.standard_normal((12, 2, 4, 3))), Pi, 2, 0.5, 0.5)
+    params = RateParams.compute(3, Pi, 0.5)
+    rate_reduction(Z, Pi, 0.5)
+    rate_gradient(Z, Pi, params)
+    compression_operator(Z, Pi, 1, params)
+    class_cosine_stats(cosine_similarity_matrix(Z), Pi)
+    feats, y = str(tmp_path / "z.rtf"), str(tmp_path / "y.rtf")
+    write_tensor(feats, Tensor.from_array(Z))
+    write_tensor(y, Tensor.from_array(labels.astype(np.uint32)))
+    for argv in (["gen-gaussians", "--dims", "3", "--classes", "3", "--per-class", "4",
+                  "--sigma", "0.1", "--seed", "0", "--out-features", str(tmp_path / "g.rtf"),
+                  "--out-labels", str(tmp_path / "gy.rtf")],
+                 ["rate", "--features", feats, "--labels", y, "--eps", "0.5"],
+                 ["construct", "--features", feats, "--labels", y, "--layers", "2", "--eta", "0.5",
+                  "--eps", "0.5", "--model-out", str(tmp_path / "m.rnm")]):
+        assert main(argv) == 0, argv
 
 
 def _naive_increment(V, S, gamma, lam):

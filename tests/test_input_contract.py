@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,33 @@ def test_an_inferred_class_count_above_the_sample_count_allocates_nothing():
     with pytest.raises(DataError, match="classes for only 2 samples"):
         Membership.from_labels([0, 2**31])
     assert Membership.from_labels([0, 2, 2]).k == 3  # an empty class within m is kept
+
+
+def test_labels_that_name_a_class_per_sample_need_no_k_by_m_matrix(tmp_path, capsys):
+    # one label 4999 among 5000 samples names 5000 classes, 4998 of them empty:
+    # their k x m weight matrix alone would take 200 MB
+    m = 5000
+    y = np.zeros(m, dtype=np.uint32)
+    y[-1] = m - 1
+    Z = np.random.default_rng(6).standard_normal((3, m))
+    Z /= np.linalg.norm(Z, axis=0)
+    tracemalloc.start()
+    try:
+        Pi = Membership.from_labels(y)
+        rates = rate_reduction(Z, Pi, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Pi.k == m and peak < 4e6, peak
+    # an empty class adds nothing: the rates of the two classes present
+    np.testing.assert_allclose(rates, rate_reduction(Z, Membership.from_labels(y > 0), 0.5),
+                               rtol=1e-12, atol=0)
+    write_tensor(tmp_path / "z.rtf", Tensor.from_array(Z))
+    write_tensor(tmp_path / "y.rtf", Tensor.from_array(y))
+    capsys.readouterr()
+    assert main(["rate", "--features", str(tmp_path / "z.rtf"), "--labels", str(tmp_path / "y.rtf"),
+                 "--eps", "0.5"]) == 0
+    assert capsys.readouterr().out == ",".join(format(r, ".12g") for r in rates) + "\n"
 
 
 def test_fit_nsc_stops_at_the_first_empty_class():
@@ -563,10 +591,16 @@ WHOLE_ARGUMENTS = {
 }
 
 
+# every argument above but seeds, shifts and class indices is a count, which
+# must also lie below numpy's index range
+NOT_COUNTS = {"gaussians-seed", "subspaces-seed", "lift1d-seed", "translate-p", "translate-q",
+              "compression-j", "compression-j-negative"}
+
+
 @pytest.mark.parametrize("argument", WHOLE_ARGUMENTS)
 def test_every_count_seed_shift_and_class_index_is_a_whole_number_in_range(argument):
     call, good, past, accepted = WHOLE_ARGUMENTS[argument]
-    for bad in (2.5, NAN, past):
+    for bad in (2.5, NAN, past, *([] if argument in NOT_COUNTS else [10**20])):
         with pytest.raises(DataError, match="must be a whole number"):
             call(bad)
     np.testing.assert_array_equal(call(np.int64(good)), call(good))
@@ -637,6 +671,7 @@ def _construct_cases(cmd, feats, nan_feats, wrong_rank, empty=None):
         (feats, "labels", ["--layers", "1", "--eta", "nan", "--eps", "0.5"]),
         (feats, "labels", ["--layers", "1", "--eta", "-1", "--eps", "0.5"]),
         (feats, "labels", ["--layers", "0", "--eta", "0.5", "--eps", "0.5"]),
+        (feats, "labels", ["--layers", str(10**20), "--eta", "0.5", "--eps", "0.5"]),
         (feats, "labels", good + ["--lambda", "-5"]),
         (feats, "labels", good + ["--lambda", "nan"]),
         (nan_feats, "labels", good),
@@ -663,7 +698,8 @@ CASES = {
     "gen-gaussians": [
         ["gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", per_class,
          "--sigma", sigma, "--seed", "0", "--out-features", "out", "--out-labels", "out"]
-        for per_class, sigma in (("2", "nan"), ("2", "inf"), ("2", "-1"), ("0", "0.1"))
+        for per_class, sigma in (("2", "nan"), ("2", "inf"), ("2", "-1"), ("0", "0.1"),
+                                 (str(10**20), "0.1"))
     ] + [
         ["gen-gaussians", "--dims", "3", "--classes", "2", "--per-class", "2", "--sigma", "0.1",
          "--seed", "-1", "--out-features", "out", "--out-labels", "out_labels"],
@@ -783,5 +819,14 @@ def test_eps_outside_the_float_range_and_an_empty_class_exit_3(files, command, t
 @pytest.mark.parametrize("command", ["gen-gaussians", "lift1d"])
 def test_a_negative_seed_exits_3_and_writes_nothing(files, command, tmp_path, capsys):
     (argv,) = [argv for argv in CASES[command] if argv[argv.index("--seed") + 1] == "-1"]
+    assert _run(files, argv, tmp_path, capsys) == 3
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gen-gaussians", "construct", "construct-inv1d",
+                                     "construct-inv2d"])
+def test_a_count_past_the_numpy_index_range_exits_3_and_writes_nothing(files, command, tmp_path,
+                                                                       capsys):
+    (argv,) = [argv for argv in CASES[command] if str(10**20) in argv]
     assert _run(files, argv, tmp_path, capsys) == 3
     assert not any(tmp_path.iterdir())

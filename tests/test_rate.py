@@ -14,6 +14,7 @@ from redunet import (
     Membership,
     NumericError,
     RateParams,
+    ShapeError,
     coding_rate,
     coding_rate_partitioned,
     compression_operator,
@@ -179,6 +180,46 @@ def test_membership_from_labels():
     assert Pi.k == 3 and Pi.m == 3
     np.testing.assert_array_equal(Pi.class_sizes, [1, 1, 1])
     np.testing.assert_array_equal(np.argmax(Pi.weights, axis=0), [0, 2, 1])
+
+
+@pytest.mark.parametrize("labels, k", [
+    (np.repeat([0, 1, 2], [3, 4, 5]), None),
+    (np.random.default_rng(8).permutation(np.repeat([0, 1, 2], [3, 4, 5])), None),
+    (np.repeat([2, 0, 3], [3, 4, 5]), 5),
+], ids=["contiguous", "shuffled", "empty-classes"])
+def test_label_built_rates_operators_and_gradient_match_the_one_hot_weights(labels, k):
+    Pi = Membership.from_labels(labels, k)
+    w = np.zeros((Pi.k, len(labels)))
+    w[labels, np.arange(len(labels))] = 1.0
+    hot = Membership(w)
+    np.testing.assert_array_equal(Pi.weights, w)
+    np.testing.assert_array_equal(Pi.labels, hot.labels)
+    Z = np.random.default_rng(9).standard_normal((4, len(labels)))
+    params, params1 = RateParams.compute(4, Pi, 0.5), RateParams.compute(4, hot, 0.5)
+    np.testing.assert_allclose(rate_reduction(Z, Pi, 0.5), rate_reduction(Z, hot, 0.5),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rate_gradient(Z, Pi, params), rate_gradient(Z, hot, params1),
+                               rtol=1e-12, atol=1e-14)
+    for j in np.flatnonzero(Pi.class_sizes):
+        np.testing.assert_allclose(compression_operator(Z, Pi, j, params),
+                                   compression_operator(Z, hot, j, params1), rtol=1e-12, atol=1e-14)
+
+
+def test_class_columns_are_a_view_when_contiguous_and_weighted_when_soft():
+    Z = np.arange(12.0).reshape(2, 6)
+    Pi = Membership.from_labels([0, 0, 1, 2, 1, 2])
+    U, cols, root = Pi.columns(Z, 0)
+    assert cols == slice(0, 2) and root is None and np.shares_memory(U, Z)
+    U, cols, root = Pi.columns(Z, 1)
+    np.testing.assert_array_equal(cols, [2, 4])
+    np.testing.assert_array_equal(U, Z[:, [2, 4]])
+    soft = Membership([[0.25, 0.0, 1.0], [0.75, 1.0, 0.0]])
+    U, cols, root = soft.columns(Z[:, :3], 0)
+    np.testing.assert_array_equal(cols, [0, 2])
+    np.testing.assert_array_equal(root, [0.5, 1.0])
+    np.testing.assert_array_equal(U, Z[:, [0, 2]] * [0.5, 1.0])
+    with pytest.raises(ShapeError, match="membership covers 6 samples, features have 5"):
+        Pi.columns(Z[:, :5], 0)
 
 
 def test_expansion_operator_is_symmetric_pd():
