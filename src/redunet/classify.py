@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyClassError, NumericError, ShapeError
-from .rate import Membership, _check_features, check_labels, check_whole
+from .rate import Membership, _check_features, check_whole
 
 RANK_TOL = 1e-10
 # smallest kept s_q / s_0 the Gram path accepts; its eigenvalues carry an error
@@ -73,23 +73,23 @@ def fit_nsc(Z: np.ndarray, labels: np.ndarray, r: int = 30) -> SubspaceClassifie
     Where the spectrum has a gap after the kept values, the two span the
     same subspace to about 1e-10.
 
-    The columns are gathered once in stable class order, so each class is a
-    view of one copy of Z, centered in place; classes 0, 1, ... must each
-    have a sample, up to the largest label.
+    The columns are copied once, column-major, in the stable class order
+    that :meth:`Membership.from_labels <redunet.rate.Membership.from_labels>`
+    keeps (gathered into it first when the labels are not sorted), so each
+    class is a view of one copy of Z, centered in place; classes 0, 1, ...
+    must each have a sample, up to the largest label.
     """
     Z = _check_features(Z)
-    labels = check_labels(labels)
-    if Z.shape[1] != labels.size:
-        raise ShapeError(f"{Z.shape[1]} feature columns but {labels.size} labels")
     r = check_whole(r, "subspace dimension r", 0)
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    missing = np.flatnonzero(labels[order[starts]] != np.arange(starts.size))
-    if missing.size:
-        raise EmptyClassError(f"class {missing[0]} has no training samples")
-    Z = Z[:, order]
-    means, bases = np.empty((starts.size, Z.shape[0])), []
-    for j, block in enumerate(np.split(Z, starts[1:], axis=1)):
+    Z, Pi, _ = Membership.from_labels(labels)._in_class_order(Z)
+    if Pi.class_sizes.min() == 0:
+        raise EmptyClassError(f"class {np.argmin(Pi.class_sizes)} has no training samples")
+    # a column-major copy, the layout of numpy's column gather: a class block's mean
+    # and Gram then sum in one order, whatever order the labels came in
+    Z = np.array(Z, order="F")
+    means, bases = np.empty((Pi.k, Z.shape[0])), []
+    for j in range(Pi.k):
+        block = Pi.columns(Z, j)[0]
         means[j] = block.mean(axis=1)
         block -= means[j][:, None]
         bases.append(_principal_basis(block, r))

@@ -19,6 +19,7 @@ from .errors import DataError, EmptyClassError, NumericError, ShapeError
 COLUMN_SUM_TOL = 1e-9
 LABEL_LIMIT = 2**32  # label files store uint32
 COUNT_LIMIT = int(np.iinfo(np.intp).max)  # a count must index a numpy axis; see check_whole()
+CLASS_LIMIT = 2**16  # an explicit k past both m and this is refused; see Membership.from_labels()
 
 
 def check_labels(labels) -> np.ndarray:
@@ -45,9 +46,12 @@ class Membership:
     """The assignment of m samples to k classes. ``Membership(weights)`` takes
     soft weights: row j of the (k, m) matrix holds the diagonal of the j-th
     class weighting matrix Pi_j, and columns sum to one. :meth:`from_labels`
-    keeps hard labels and each class's columns instead, and makes the k x m
-    ``weights`` only when they are read. :meth:`columns` is the one way the
-    engine and the rate reference reach a class."""
+    keeps hard labels, one stable order of the samples by class and the k + 1
+    bounds of the classes in that order, and makes the k x m ``weights``
+    only when they are read. It is the one owner of class order: the
+    engine's construction and ``fit_nsc`` gather into it
+    (:meth:`_in_class_order`), and :meth:`columns` is the one way the engine
+    and the rate reference reach a class."""
 
     def __init__(self, weights) -> None:
         w = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -58,27 +62,31 @@ class Membership:
             raise DataError(
                 f"membership columns must sum to 1 (max deviation {np.max(deviation):.3e})"
             )
-        self._weights, self._labels, self._sizes = w, None, w.sum(axis=1)
+        self._weights, self._labels, self._sizes, self._order = w, None, w.sum(axis=1), None
 
     @classmethod
     def from_labels(cls, labels, k: int | None = None) -> "Membership":
         """Sample i in class labels[i], of k classes: the largest label + 1 if
-        k is None, which may not exceed the number of samples. Class j's
-        columns are kept as a slice when they are contiguous, else as their
-        indices; no k x m matrix is made."""
+        k is None, which may not exceed the number of samples m (else
+        EmptyClassError naming the first empty class); an explicit k may not
+        exceed m or CLASS_LIMIT, whichever is larger. The samples' class
+        order is kept as one stable permutation, None when the labels are
+        already sorted, with the membership of the samples in that order;
+        no k x m matrix is made."""
         labels = check_labels(labels)
-        least = int(labels.max(initial=-1)) + 1
-        if k is None and least > labels.size:
-            raise DataError(f"labels name {least} classes for only {labels.size} samples")
-        k = least if k is None else check_whole(k, "class count k", least)
-        labels.flags.writeable = False  # Pi.labels keeps matching the columns kept below
+        m, least = labels.size, int(labels.max(initial=-1)) + 1
+        if k is None and least > m:  # one of the classes 0..m is empty: name the first
+            empty = np.argmin(np.bincount(labels[labels <= m], minlength=m + 1))
+            raise EmptyClassError(f"labels name {least} classes for only {m} samples: "
+                                  f"class {empty} has none")
+        k = least if k is None else check_whole(k, "class count k", least, max(m, CLASS_LIMIT) + 1)
+        labels.flags.writeable = False  # Pi.labels keeps matching the order kept below
         sizes = np.bincount(labels, minlength=k)
-        order = np.argsort(labels, kind="stable")
-        cols = (order[end - size:end] for size, end in zip(sizes, np.cumsum(sizes)))
         Pi = object.__new__(cls)
         Pi._weights, Pi._labels, Pi._sizes = None, labels, sizes.astype(float)
-        Pi._cols = tuple(slice(int(c[0]), int(c[-1]) + 1) if c.size and c[-1] - c[0] == c.size - 1
-                         else c for c in cols)
+        Pi._bounds = np.concatenate(([0], np.cumsum(sizes)))
+        Pi._order = None if np.all(labels[:-1] <= labels[1:]) else np.argsort(labels, kind="stable")
+        Pi._sorted = Pi if Pi._order is None else cls.from_labels(labels[Pi._order], k)
         return Pi
 
     @property
@@ -107,16 +115,34 @@ class Membership:
     def class_sizes(self) -> np.ndarray:
         return self._sizes
 
-    def columns(self, X: np.ndarray, j: int) -> tuple:
-        """Class j's columns of X (..., m) as (U, cols, root), with U U^H =
-        X Pi_j X^H. Label-built: U = X[..., cols], a view if class j is
-        contiguous, and root None. Soft: cols are the columns where pi_j > 0
-        (weights that the tolerance lets fall below 0 count as 0), root =
-        sqrt(pi_j) there and U = X[..., cols] * root."""
+    def _check_samples(self, X: np.ndarray) -> None:
         if X.shape[-1] != self.m:
             raise ShapeError(f"membership covers {self.m} samples, features have {X.shape[-1]}")
+
+    def _in_class_order(self, X: np.ndarray) -> tuple:
+        """(X with its samples (last axis) in class order, the membership of
+        those samples, the order), so that every class of the result is a
+        slice. X itself, this membership and None when the samples are in
+        class order already or the weights are soft; else one gather into a
+        new C-contiguous array."""
+        self._check_samples(X)
+        if self._order is None:
+            return X, self, None
+        return np.take(X, self._order, axis=-1), self._sorted, self._order
+
+    def columns(self, X: np.ndarray, j: int) -> tuple:
+        """Class j's columns of X (..., m) as (U, cols, root), with U U^H =
+        X Pi_j X^H. Label-built: cols = lo:hi, class j's bounds, and U =
+        X[..., lo:hi], a view, when the labels are in class order; else cols
+        = order[lo:hi] and U their gather; root None. Soft: cols are the
+        columns where pi_j > 0 (weights that the tolerance lets fall below 0
+        count as 0), root = sqrt(pi_j) there and U = X[..., cols] * root."""
+        self._check_samples(X)
         if self._labels is not None:
-            return X[..., self._cols[j]], self._cols[j], None
+            cols = slice(self._bounds[j], self._bounds[j + 1])
+            if self._order is not None:
+                cols = self._order[cols]
+            return X[..., cols], cols, None
         cols = np.flatnonzero(self._weights[j] > 0)
         root = np.sqrt(self._weights[j, cols])
         return X[..., cols] * root, cols, root

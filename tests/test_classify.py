@@ -144,6 +144,18 @@ def test_single_query_returns_a_scalar():
     assert np.ndim(pred) == 0
 
 
+@pytest.mark.parametrize("n", [6, 40])  # C C^T and C^T C Grams (m_j = 20)
+def test_columns_permuted_with_their_class_order_kept_fit_the_same_bytes(n):
+    Z, labels = _subspace_data(seed=7, n=n, noise=0.05)
+    shuffled = np.random.default_rng(8).permutation(labels)
+    Zs = np.empty_like(Z)
+    for j in range(3):
+        Zs[:, shuffled == j] = Z[:, labels == j]
+    clf, clf_s = fit_nsc(Z, labels, r=4), fit_nsc(Zs, shuffled, r=4)
+    assert clf.means.tobytes() == clf_s.means.tobytes()
+    assert [U.tobytes() for U in clf.bases] == [U.tobytes() for U in clf_s.bases]
+
+
 def test_missing_class_is_rejected():
     Z = np.random.default_rng(5).standard_normal((4, 6))
     with pytest.raises(EmptyClassError):

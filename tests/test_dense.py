@@ -67,6 +67,28 @@ def test_forward_replays_construction_exactly():
     np.testing.assert_array_equal(forward(model, Z), Z_out)
 
 
+def test_shuffled_labels_build_the_class_sorted_network_bit_for_bit():
+    # each layer's operators come from the samples in class order and the step runs in
+    # the caller's order: a shuffled batch builds the network of its class-sorted copy,
+    # because a sample's real update does not depend on its column, and forward
+    # reproduces the output
+    rng = np.random.default_rng(40)
+    Z = rng.standard_normal((3, 1536))
+    Z /= np.linalg.norm(Z, axis=0)
+    labels = rng.integers(0, 3, Z.shape[1])
+    order = np.argsort(labels, kind="stable")
+    model, Z_out, curve = construct(Z, Membership.from_labels(labels), L=20, eta=0.5, eps=0.5)
+    model_s, Z_out_s, curve_s = construct(np.ascontiguousarray(Z[:, order]),
+                                          Membership.from_labels(labels[order]),
+                                          L=20, eta=0.5, eps=0.5)
+    np.testing.assert_array_equal(Z_out[:, order], Z_out_s)
+    np.testing.assert_array_equal(curve.values, curve_s.values)
+    for layer, layer_s in zip(model.layers, model_s.layers):
+        np.testing.assert_array_equal(layer.stack, layer_s.stack)
+        np.testing.assert_array_equal(layer.gamma_j, layer_s.gamma_j)
+    np.testing.assert_array_equal(forward(model, Z), Z_out)
+
+
 def _reference_forward(model, Z):
     """Each layer as one unblocked update: V + eta * increment(V), renormalized."""
     V = Z[None]

@@ -23,6 +23,7 @@ from redunet import (
     rate_gradient,
     rate_reduction,
 )
+from redunet.rate import CLASS_LIMIT
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-5
@@ -207,19 +208,62 @@ def test_label_built_rates_operators_and_gradient_match_the_one_hot_weights(labe
 
 def test_class_columns_are_a_view_when_contiguous_and_weighted_when_soft():
     Z = np.arange(12.0).reshape(2, 6)
-    Pi = Membership.from_labels([0, 0, 1, 2, 1, 2])
-    U, cols, root = Pi.columns(Z, 0)
-    assert cols == slice(0, 2) and root is None and np.shares_memory(U, Z)
-    U, cols, root = Pi.columns(Z, 1)
+    # labels in class order: every class is a slice lo:hi of its bounds, a view of Z
+    Pi = Membership.from_labels([0, 0, 1, 1, 1, 2])
+    for j, cols_j in enumerate([slice(0, 2), slice(2, 5), slice(5, 6)]):
+        U, cols, root = Pi.columns(Z, j)
+        assert cols == cols_j and root is None and np.shares_memory(U, Z)
+    Zs, sorted_Pi, order = Pi._in_class_order(Z)
+    assert Zs is Z and sorted_Pi is Pi and order is None
+    # shuffled labels: class j is the gather of order[lo:hi], until the samples are
+    # gathered into class order once, after which every class is a view again
+    shuffled = Membership.from_labels([0, 0, 1, 2, 1, 2])
+    U, cols, root = shuffled.columns(Z, 1)
     np.testing.assert_array_equal(cols, [2, 4])
     np.testing.assert_array_equal(U, Z[:, [2, 4]])
+    assert root is None and not np.shares_memory(U, Z)
+    Zs, sorted_Pi, order = shuffled._in_class_order(Z)
+    np.testing.assert_array_equal(order, [0, 1, 2, 4, 3, 5])
+    np.testing.assert_array_equal(Zs, Z[:, order])
+    assert Zs.flags.c_contiguous
+    np.testing.assert_array_equal(sorted_Pi.labels, [0, 0, 1, 1, 2, 2])
+    for j in range(3):
+        U, cols, _ = sorted_Pi.columns(Zs, j)
+        assert isinstance(cols, slice) and np.shares_memory(U, Zs)
+        np.testing.assert_array_equal(U, shuffled.columns(Z, j)[0])
     soft = Membership([[0.25, 0.0, 1.0], [0.75, 1.0, 0.0]])
     U, cols, root = soft.columns(Z[:, :3], 0)
     np.testing.assert_array_equal(cols, [0, 2])
     np.testing.assert_array_equal(root, [0.5, 1.0])
     np.testing.assert_array_equal(U, Z[:, [0, 2]] * [0.5, 1.0])
-    with pytest.raises(ShapeError, match="membership covers 6 samples, features have 5"):
-        Pi.columns(Z[:, :5], 0)
+    assert soft._in_class_order(Z[:, :3])[2] is None
+    for call in (lambda: Pi.columns(Z[:, :5], 0), lambda: shuffled._in_class_order(Z[:, :5]),
+                 lambda: shuffled._in_class_order(np.hstack([Z, Z]))):
+        with pytest.raises(ShapeError, match="membership covers 6 samples, features have"):
+            call()
+
+
+def test_an_explicit_class_count_past_the_samples_and_the_class_limit_is_refused():
+    # k sizes the class bounds and sizes: 10**12 classes would ask for 7.28 TiB
+    for labels, k in (([0, 1], 10**12), ([0, 1], CLASS_LIMIT + 1),
+                      (np.zeros(CLASS_LIMIT + 7, int), CLASS_LIMIT + 8),
+                      ([0, 2**31], 2**31 + 1)):
+        with pytest.raises(DataError, match="class count k must be a whole number"):
+            Membership.from_labels(labels, k)
+    # the largest k each rule takes: CLASS_LIMIT for 2 samples, m past it
+    many = np.zeros(CLASS_LIMIT + 7, int)
+    assert Membership.from_labels([0, 1], CLASS_LIMIT).k == CLASS_LIMIT
+    assert Membership.from_labels(many, many.size).k == many.size
+    empty = Membership.from_labels([], k=2)
+    assert empty.k == 2 and empty.m == 0 and empty.class_sizes.tolist() == [0, 0]
+
+
+def test_an_inferred_class_count_past_the_samples_names_the_first_empty_class():
+    with pytest.raises(EmptyClassError, match="labels name 6 classes for only 3 samples: "
+                                              "class 1 has none"):
+        Membership.from_labels([5, 0, 2])
+    with pytest.raises(EmptyClassError, match="class 3 has none"):
+        Membership.from_labels([2**31, 1, 0, 2])
 
 
 def test_expansion_operator_is_symmetric_pd():

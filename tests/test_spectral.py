@@ -354,6 +354,32 @@ def test_sample_blocks_match_one_block(monkeypatch):
             assert widths == [4, 4, 4, 4, 3, 3]
 
 
+def test_shuffled_labels_build_the_class_sorted_2d_network_bit_for_bit(monkeypatch):
+    # each layer's operators come from the samples in class order, and the step runs in
+    # the caller's order, so forward replays the output in blocks of any width; in
+    # blocks whose width is a multiple of 8 (BLAS kernels take columns 2, 4 or 8 at a
+    # time) a complex step's bits do not depend on a sample's column, so the network is
+    # also that of the class-sorted copy of the batch, bit for bit
+    rng = np.random.default_rng(41)
+    Z = normalize_samples_time(rng.standard_normal((64, 3, 6, 5)))
+    labels = rng.integers(0, 3, len(Z))
+    order = np.argsort(labels, kind="stable")
+    params = dict(L=4, eta=0.5, eps=0.5, lam=5.0)
+    model = construct_inv2d(Z, Membership.from_labels(labels), **params)[0]
+    for width in (8, 7, 64):
+        monkeypatch.setattr(_engine, "STEP_BLOCK_BYTES", _block_budget(model, width))
+        model, Z_out, curve = construct_inv2d(Z, Membership.from_labels(labels), **params)
+        np.testing.assert_array_equal(forward_inv2d(model, Z), Z_out)
+        if width % 2:
+            continue
+        model_s, Z_out_s, curve_s = construct_inv2d(
+            Z[order], Membership.from_labels(labels[order]), **params)
+        np.testing.assert_array_equal(Z_out[order], Z_out_s)
+        np.testing.assert_array_equal(curve.values, curve_s.values)
+        for layer, layer_s in zip(model.layers, model_s.layers):
+            np.testing.assert_array_equal(layer.stack, layer_s.stack)
+
+
 def test_forward_of_a_batch_is_the_forward_of_its_halves(monkeypatch):
     Z, _, Pi = _samples_2d(seed=24, m=9, C=2, H=4, W=5, k=3)
     model, _, _ = construct_inv2d(Z, Pi, L=3, eta=0.5, eps=0.5)
