@@ -357,9 +357,9 @@ def test_sample_blocks_match_one_block(monkeypatch):
 def test_shuffled_labels_build_the_class_sorted_2d_network_bit_for_bit(monkeypatch):
     # each layer's operators come from the samples in class order, and the step runs in
     # the caller's order, so forward replays the output in blocks of any width; in
-    # blocks whose width is a multiple of 8 (BLAS kernels take columns 2, 4 or 8 at a
-    # time) a complex step's bits do not depend on a sample's column, so the network is
-    # also that of the class-sorted copy of the batch, bit for bit
+    # blocks whose width is a multiple of 8 (BLAS kernels work on small groups of
+    # columns) a complex step's bits do not depend on a sample's column, so the network
+    # is also that of the class-sorted copy of the batch, bit for bit
     rng = np.random.default_rng(41)
     Z = normalize_samples_time(rng.standard_normal((64, 3, 6, 5)))
     labels = rng.integers(0, 3, len(Z))
