@@ -17,12 +17,9 @@ Per layer the whole-set matrix and the k class matrices
 
 are filled into one (P, 1 + k, d, d) stack and Cholesky-factored once. U_j
 is class j's own columns of V (:meth:`redunet.rate.Membership.columns`):
-for labels a slice of V in the membership's class order, into which
-:func:`construct` gathers the samples, once per layer into one buffer, when
-they are not in it already (the step keeps the caller's order), and for
-soft weights the columns of nonzero pi_j scaled by sqrt(pi_j); so U_j U_j^H
-= V diag(Pi_j) V^H, and class j's product reads its m_j samples, not all
-m. The
+for labels a view of V when the class is contiguous, else a gather, and for
+soft weights the columns of nonzero pi_j scaled by sqrt(pi_j); so U_j U_j^H =
+V diag(Pi_j) V^H, and class j's product reads its m_j samples, not all m. The
 coefficients a_0 = alpha, a_j = alpha_j and the class shares gamma_j come
 from :class:`redunet.rate.RateParams`, computed once per construction,
 where an empty class has alpha_j = 0, so its block is the identity. The
@@ -199,9 +196,8 @@ def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
     a_0 = alpha and a_j = alpha_j from ``params``, 0 for an empty class, whose
     block is the identity and adds nothing to the rate. Class j's block is
     filled from its own columns U_j of V (:meth:`Membership.columns`) as
-    U_j U_j^H: a slice of V when V is in the membership's class order, as
-    :func:`construct` passes it. Row j adds sum_p s_p logdet(A_j(p)) / 2, the
-    rate of the whole shift family over its copies."""
+    U_j U_j^H. Row j adds sum_p s_p logdet(A_j(p)) / 2, the rate of the whole
+    shift family over its copies."""
     P, d, _ = V.shape
     coef = np.concatenate(([params.alpha], params.alpha_j))
     A = np.empty((P, 1 + Pi.k, d, d), dtype=V.dtype)
@@ -315,12 +311,7 @@ def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: flo
     """Build L layers from unit-norm samples with frequency shares ``share``.
     ``make_layer(stack, gamma)`` makes each layer on the stack of :func:`operators`;
     the output is produced by :func:`step` on the stored layer, exactly as
-    :func:`forward` replays it. The loss curve entry of each layer describes its input.
-    :func:`factor` reads the samples in the membership's class order,
-    gathered once per layer into one buffer when they are not in it, and
-    the step reads them in the caller's order, as :func:`forward` does: a
-    sample's bits may depend on its column (complex products in a block of
-    odd width), so a step in class order would not be replayed exactly."""
+    :func:`forward` replays it. The loss curve entry of each layer describes its input."""
     L = check_whole(L, "layer count L")
     check_step(eta, lam)
     norms = np.sqrt(_sq_norms(V, "pax,pax->x"))
@@ -331,16 +322,12 @@ def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: flo
     if not np.all(Pi.class_sizes > 0):
         raise DataError("every class must have nonzero total membership")
     params = RateParams.compute(V.shape[1], Pi, eps)
-    Vs, Pi, order = Pi._in_class_order(V)
     layers, curve = [], np.empty((L, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(L):
-            coef, Lf, curve[i] = factor(Vs, share, Pi, params)
+            coef, Lf, curve[i] = factor(V, share, Pi, params)
             layers.append(make_layer(operators(coef, Lf), params.gamma_j))
             V = step(V, layers[-1], eta, lam, i)
-            # the next layer's class order into Vs' own pages; mode "clip" writes there
-            # directly, where "raise" would gather into a buffer first
-            Vs = V if order is None else np.take(V, order, axis=-1, out=Vs, mode="clip")
     return layers, V, LossCurve(curve)
 
 

@@ -73,27 +73,27 @@ def fit_nsc(Z: np.ndarray, labels: np.ndarray, r: int = 30) -> SubspaceClassifie
     Where the spectrum has a gap after the kept values, the two span the
     same subspace to about 1e-10.
 
-    The columns are copied once, column-major, in the stable class order
-    that :meth:`Membership.from_labels <redunet.rate.Membership.from_labels>`
-    keeps (gathered into it first when the labels are not sorted), so each
-    class is a view of one copy of Z, centered in place; classes 0, 1, ...
-    must each have a sample, up to the largest label.
+    The columns are gathered once in the stable class order that
+    :meth:`Membership.from_labels <redunet.rate.Membership.from_labels>`
+    keeps, so each class is a view of one copy of Z between its class
+    bounds, centered in place; classes 0, 1, ... must each have a sample, up
+    to the largest label.
     """
     Z = _check_features(Z)
+    Pi = Membership.from_labels(labels)
+    if Z.shape[1] != Pi.m:
+        raise ShapeError(f"{Z.shape[1]} feature columns but {Pi.m} labels")
     r = check_whole(r, "subspace dimension r", 0)
-    Z, Pi, _ = Membership.from_labels(labels)._in_class_order(Z)
     if Pi.class_sizes.min() == 0:
         raise EmptyClassError(f"class {np.argmin(Pi.class_sizes)} has no training samples")
-    # a column-major copy, the layout of numpy's column gather: a class block's mean
-    # and Gram then sum in one order, whatever order the labels came in
-    Z = np.array(Z, order="F")
-    means, bases = np.empty((Pi.k, Z.shape[0])), []
-    for j in range(Pi.k):
-        block = Pi.columns(Z, j)[0]
-        means[j] = block.mean(axis=1)
-        block -= means[j][:, None]
-        bases.append(_principal_basis(block, r))
-    return SubspaceClassifier(means=means, bases=tuple(bases))
+    # one gather of Z in the membership's class order, column-major as numpy lays out a
+    # column gather: each class block is a view of one array, faster than k copies, and
+    # its mean and Gram sum in one order, whatever order the labels came in
+    blocks = np.split(Z[:, Pi._order], Pi._bounds[1:-1], axis=1)
+    means = np.array([U.mean(axis=1) for U in blocks])
+    bases = tuple(_principal_basis(np.subtract(U, mean[:, None], out=U), r)
+                  for U, mean in zip(blocks, means))
+    return SubspaceClassifier(means=means, bases=bases)
 
 
 def _principal_basis(C: np.ndarray, r: int) -> np.ndarray:

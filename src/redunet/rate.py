@@ -48,10 +48,9 @@ class Membership:
     class weighting matrix Pi_j, and columns sum to one. :meth:`from_labels`
     keeps hard labels, one stable order of the samples by class and the k + 1
     bounds of the classes in that order, and makes the k x m ``weights``
-    only when they are read. It is the one owner of class order: the
-    engine's construction and ``fit_nsc`` gather into it
-    (:meth:`_in_class_order`), and :meth:`columns` is the one way the engine
-    and the rate reference reach a class."""
+    only when they are read. It is the one owner of class order:
+    :meth:`columns` is the one way the engine and the rate reference reach a
+    class, and ``fit_nsc`` gathers its classes by the same order and bounds."""
 
     def __init__(self, weights) -> None:
         w = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -62,7 +61,7 @@ class Membership:
             raise DataError(
                 f"membership columns must sum to 1 (max deviation {np.max(deviation):.3e})"
             )
-        self._weights, self._labels, self._sizes, self._order = w, None, w.sum(axis=1), None
+        self._weights, self._labels, self._sizes = w, None, w.sum(axis=1)
 
     @classmethod
     def from_labels(cls, labels, k: int | None = None) -> "Membership":
@@ -70,9 +69,9 @@ class Membership:
         k is None, which may not exceed the number of samples m (else
         EmptyClassError naming the first empty class); an explicit k may not
         exceed m or CLASS_LIMIT, whichever is larger. The samples' class
-        order is kept as one stable permutation, None when the labels are
-        already sorted, with the membership of the samples in that order;
-        no k x m matrix is made."""
+        order is kept as one stable permutation, with the class bounds in
+        that order, and class j's share of it as a slice when its columns
+        are adjacent; no k x m matrix is made."""
         labels = check_labels(labels)
         m, least = labels.size, int(labels.max(initial=-1)) + 1
         if k is None and least > m:  # one of the classes 0..m is empty: name the first
@@ -85,8 +84,10 @@ class Membership:
         Pi = object.__new__(cls)
         Pi._weights, Pi._labels, Pi._sizes = None, labels, sizes.astype(float)
         Pi._bounds = np.concatenate(([0], np.cumsum(sizes)))
-        Pi._order = None if np.all(labels[:-1] <= labels[1:]) else np.argsort(labels, kind="stable")
-        Pi._sorted = Pi if Pi._order is None else cls.from_labels(labels[Pi._order], k)
+        Pi._order = np.argsort(labels, kind="stable")  # numpy's stable sort: linear if sorted
+        cols = (Pi._order[lo:hi] for lo, hi in zip(Pi._bounds[:-1], Pi._bounds[1:]))
+        Pi._cols = tuple(slice(int(c[0]), int(c[-1]) + 1) if c.size and c[-1] - c[0] == c.size - 1
+                         else c for c in cols)
         return Pi
 
     @property
@@ -115,34 +116,17 @@ class Membership:
     def class_sizes(self) -> np.ndarray:
         return self._sizes
 
-    def _check_samples(self, X: np.ndarray) -> None:
-        if X.shape[-1] != self.m:
-            raise ShapeError(f"membership covers {self.m} samples, features have {X.shape[-1]}")
-
-    def _in_class_order(self, X: np.ndarray) -> tuple:
-        """(X with its samples (last axis) in class order, the membership of
-        those samples, the order), so that every class of the result is a
-        slice. X itself, this membership and None when the samples are in
-        class order already or the weights are soft; else one gather into a
-        new C-contiguous array."""
-        self._check_samples(X)
-        if self._order is None:
-            return X, self, None
-        return np.take(X, self._order, axis=-1), self._sorted, self._order
-
     def columns(self, X: np.ndarray, j: int) -> tuple:
         """Class j's columns of X (..., m) as (U, cols, root), with U U^H =
-        X Pi_j X^H. Label-built: cols = lo:hi, class j's bounds, and U =
-        X[..., lo:hi], a view, when the labels are in class order; else cols
-        = order[lo:hi] and U their gather; root None. Soft: cols are the
-        columns where pi_j > 0 (weights that the tolerance lets fall below 0
-        count as 0), root = sqrt(pi_j) there and U = X[..., cols] * root."""
-        self._check_samples(X)
+        X Pi_j X^H. Label-built: U = X[..., cols], cols class j's share of
+        the stable class order, a view if class j's columns are adjacent, and
+        root None. Soft: cols are the columns where pi_j > 0 (weights that
+        the tolerance lets fall below 0 count as 0), root = sqrt(pi_j) there
+        and U = X[..., cols] * root."""
+        if X.shape[-1] != self.m:
+            raise ShapeError(f"membership covers {self.m} samples, features have {X.shape[-1]}")
         if self._labels is not None:
-            cols = slice(self._bounds[j], self._bounds[j + 1])
-            if self._order is not None:
-                cols = self._order[cols]
-            return X[..., cols], cols, None
+            return X[..., self._cols[j]], self._cols[j], None
         cols = np.flatnonzero(self._weights[j] > 0)
         root = np.sqrt(self._weights[j, cols])
         return X[..., cols] * root, cols, root

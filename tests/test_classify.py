@@ -164,8 +164,9 @@ def test_missing_class_is_rejected():
 
 def test_shape_mismatches_are_rejected():
     Z, labels = _subspace_data(seed=6)
-    with pytest.raises(ShapeError):
-        fit_nsc(Z, labels[:-1], r=2)
+    for short in (labels[:-1], []):
+        with pytest.raises(ShapeError, match="feature columns but"):
+            fit_nsc(Z, short, r=2)
     clf = fit_nsc(Z, labels, r=2)
     with pytest.raises(ShapeError):
         predict_nsc(clf, Z[:-1])

@@ -67,11 +67,10 @@ def test_forward_replays_construction_exactly():
     np.testing.assert_array_equal(forward(model, Z), Z_out)
 
 
-def test_shuffled_labels_build_the_class_sorted_network_bit_for_bit():
-    # each layer's operators come from the samples in class order and the step runs in
-    # the caller's order: a shuffled batch builds the network of its class-sorted copy,
-    # because a sample's real update does not depend on its column, and forward
-    # reproduces the output
+def test_shuffled_labels_build_the_class_sorted_network_to_rounding():
+    # every class block is filled from the same columns in the same order, but the
+    # whole-set Gram V V^T sums the samples in the caller's order, so a shuffled batch
+    # builds its class-sorted copy's network up to rounding; forward replays it exactly
     rng = np.random.default_rng(40)
     Z = rng.standard_normal((3, 1536))
     Z /= np.linalg.norm(Z, axis=0)
@@ -81,10 +80,10 @@ def test_shuffled_labels_build_the_class_sorted_network_bit_for_bit():
     model_s, Z_out_s, curve_s = construct(np.ascontiguousarray(Z[:, order]),
                                           Membership.from_labels(labels[order]),
                                           L=20, eta=0.5, eps=0.5)
-    np.testing.assert_array_equal(Z_out[:, order], Z_out_s)
-    np.testing.assert_array_equal(curve.values, curve_s.values)
+    np.testing.assert_allclose(Z_out[:, order], Z_out_s, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(curve.values, curve_s.values, rtol=0, atol=1e-14)
     for layer, layer_s in zip(model.layers, model_s.layers):
-        np.testing.assert_array_equal(layer.stack, layer_s.stack)
+        np.testing.assert_allclose(layer.stack, layer_s.stack, rtol=1e-12)
         np.testing.assert_array_equal(layer.gamma_j, layer_s.gamma_j)
     np.testing.assert_array_equal(forward(model, Z), Z_out)
 

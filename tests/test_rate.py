@@ -208,39 +208,35 @@ def test_label_built_rates_operators_and_gradient_match_the_one_hot_weights(labe
 
 def test_class_columns_are_a_view_when_contiguous_and_weighted_when_soft():
     Z = np.arange(12.0).reshape(2, 6)
-    # labels in class order: every class is a slice lo:hi of its bounds, a view of Z
+    # labels in class order: every class is a slice between its bounds, a view of Z
     Pi = Membership.from_labels([0, 0, 1, 1, 1, 2])
     for j, cols_j in enumerate([slice(0, 2), slice(2, 5), slice(5, 6)]):
         U, cols, root = Pi.columns(Z, j)
         assert cols == cols_j and root is None and np.shares_memory(U, Z)
-    Zs, sorted_Pi, order = Pi._in_class_order(Z)
-    assert Zs is Z and sorted_Pi is Pi and order is None
-    # shuffled labels: class j is the gather of order[lo:hi], until the samples are
-    # gathered into class order once, after which every class is a view again
+    # labels in no class order: a class whose columns are adjacent is still a view,
+    # any other class the gather of its columns in the stable class order
     shuffled = Membership.from_labels([0, 0, 1, 2, 1, 2])
-    U, cols, root = shuffled.columns(Z, 1)
-    np.testing.assert_array_equal(cols, [2, 4])
-    np.testing.assert_array_equal(U, Z[:, [2, 4]])
-    assert root is None and not np.shares_memory(U, Z)
-    Zs, sorted_Pi, order = shuffled._in_class_order(Z)
-    np.testing.assert_array_equal(order, [0, 1, 2, 4, 3, 5])
-    np.testing.assert_array_equal(Zs, Z[:, order])
-    assert Zs.flags.c_contiguous
-    np.testing.assert_array_equal(sorted_Pi.labels, [0, 0, 1, 1, 2, 2])
-    for j in range(3):
-        U, cols, _ = sorted_Pi.columns(Zs, j)
-        assert isinstance(cols, slice) and np.shares_memory(U, Zs)
-        np.testing.assert_array_equal(U, shuffled.columns(Z, j)[0])
+    U, cols, root = shuffled.columns(Z, 0)
+    assert cols == slice(0, 2) and root is None and np.shares_memory(U, Z)
+    for j, cols_j in ((1, [2, 4]), (2, [3, 5])):
+        U, cols, root = shuffled.columns(Z, j)
+        np.testing.assert_array_equal(cols, cols_j)
+        np.testing.assert_array_equal(U, Z[:, cols_j])
+        assert root is None and not np.shares_memory(U, Z)
+    # classes in blocks but not in ascending order: every class a view
+    blocks = Membership.from_labels([2, 0, 0, 1, 1, 1])
+    for j, cols_j in enumerate([slice(1, 3), slice(3, 6), slice(0, 1)]):
+        U, cols, _ = blocks.columns(Z, j)
+        assert cols == cols_j and np.shares_memory(U, Z)
+        np.testing.assert_array_equal(U, Z[:, cols_j])
     soft = Membership([[0.25, 0.0, 1.0], [0.75, 1.0, 0.0]])
     U, cols, root = soft.columns(Z[:, :3], 0)
     np.testing.assert_array_equal(cols, [0, 2])
     np.testing.assert_array_equal(root, [0.5, 1.0])
     np.testing.assert_array_equal(U, Z[:, [0, 2]] * [0.5, 1.0])
-    assert soft._in_class_order(Z[:, :3])[2] is None
-    for call in (lambda: Pi.columns(Z[:, :5], 0), lambda: shuffled._in_class_order(Z[:, :5]),
-                 lambda: shuffled._in_class_order(np.hstack([Z, Z]))):
+    for Pi_, X in ((Pi, Z[:, :5]), (shuffled, Z[:, :5]), (shuffled, np.hstack([Z, Z]))):
         with pytest.raises(ShapeError, match="membership covers 6 samples, features have"):
-            call()
+            Pi_.columns(X, 0)
 
 
 def test_an_explicit_class_count_past_the_samples_and_the_class_limit_is_refused():
