@@ -15,7 +15,7 @@ Per layer the whole-set matrix and the k class matrices
 
     A_0(p) = I + (a_0 / s_p) V(p) V(p)^H,   A_j(p) = I + (a_j / s_p) U_j(p) U_j(p)^H
 
-are filled into one (P, 1 + k, d, d) stack and Cholesky-factored once. U_j
+are filled into one (P, 1 + k, d, d) stack A and Cholesky-factored once. U_j
 is class j's own columns of V (:meth:`redunet.rate.Membership.columns`):
 for labels a view of V when the class is contiguous, else a gather, and for
 soft weights the columns of nonzero pi_j scaled by sqrt(pi_j); so U_j U_j^H =
@@ -23,10 +23,11 @@ V diag(Pi_j) V^H, and class j's product reads its m_j samples, not all m. The
 coefficients a_0 = alpha, a_j = alpha_j and the class shares gamma_j come
 from :class:`redunet.rate.RateParams`, computed once per construction,
 where an empty class has alpha_j = 0, so its block is the identity. The
-s-weighted log-diagonal of that factor gives the loss-curve entry, and its
-inverse gives the operators a_j A_j^-1 = a_j L^-H L^-1, built and scaled as
-one stack of the same shape: the expansion operator E is its row 0 and the
-compression operators C its rows 1..k, both views of it.
+s-weighted log-diagonal of that factor gives the loss-curve entry and its
+success the definiteness check; nothing else reads it. The operators
+a_j A_j^-1, the paper's closed forms, are one inverse of A scaled in place
+by a_j, a stack of the same shape: the expansion operator E is its row 0
+and the compression operators C its rows 1..k, both views of it.
 Each frequency's k class operators are thus one contiguous (k d, d) matrix,
 so the class products C_j V of all classes are one matrix product per
 frequency (:func:`class_products`), read by the softmin and the weighted
@@ -191,13 +192,14 @@ def check_model(layers, shape: tuple, eta: float, lam: float, eps: float) -> Non
 
 def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
            params: RateParams) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
-    """The coefficients a_j, the Cholesky factors L of the (P, 1 + k, d, d)
-    stack for frequency shares ``share`` and the (R, Rc, dR) on L's diagonal:
-    a_0 = alpha and a_j = alpha_j from ``params``, 0 for an empty class, whose
-    block is the identity and adds nothing to the rate. Class j's block is
-    filled from its own columns U_j of V (:meth:`Membership.columns`) as
-    U_j U_j^H. Row j adds sum_p s_p logdet(A_j(p)) / 2, the rate of the whole
-    shift family over its copies."""
+    """The coefficients a_j, the filled (P, 1 + k, d, d) stack A for frequency
+    shares ``share`` and the (R, Rc, dR) on the diagonal of A's Cholesky
+    factor, which is made, checked (NumericError where A is not positive
+    definite) and dropped here: a_0 = alpha and a_j = alpha_j from ``params``,
+    0 for an empty class, whose block is the identity and adds nothing to the
+    rate. Class j's block is filled from its own columns U_j of V
+    (:meth:`Membership.columns`) as U_j U_j^H. Row j adds sum_p s_p
+    logdet(A_j(p)) / 2, the rate of the whole shift family over its copies."""
     P, d, _ = V.shape
     coef = np.concatenate(([params.alpha], params.alpha_j))
     A = np.empty((P, 1 + Pi.k, d, d), dtype=V.dtype)
@@ -207,20 +209,18 @@ def factor(V: np.ndarray, share: np.ndarray, Pi: Membership,
         np.matmul(U, _herm(U), out=A[:, 1 + j])
     A *= (coef / share[:, None])[:, :, None, None]
     A += np.eye(d)
-    L = _cholesky(A)
-    logs = np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=-1)
+    logs = np.log(np.diagonal(_cholesky(A), axis1=-2, axis2=-1).real).sum(axis=-1)
     half_logdet = np.ascontiguousarray(logs.T) @ share
     R = float(half_logdet[0])
     Rc = float(params.gamma_j @ half_logdet[1:])
-    return coef, L, (R, Rc, R - Rc)
+    return coef, A, (R, Rc, R - Rc)
 
 
-def operators(coef: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """The (P, 1 + k, d, d) operator stack a_j L^-H L^-1 from one inverse,
-    one product and one scaling of the whole factor stack: the expansion
-    operator E at row 0 and the compression operators C at rows 1..k."""
-    Linv = np.linalg.inv(L)
-    M = _herm(Linv) @ Linv
+def operators(coef: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The (P, 1 + k, d, d) operator stack a_j A^-1 from one inverse of the
+    filled stack A, scaled in place: the expansion operator E at row 0 and
+    the compression operators C at rows 1..k."""
+    M = np.linalg.inv(A)
     M *= coef[:, None, None]
     return M
 
@@ -325,8 +325,8 @@ def construct(V: np.ndarray, share: np.ndarray, Pi: Membership, L: int, eta: flo
     layers, curve = [], np.empty((L, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(L):
-            coef, Lf, curve[i] = factor(V, share, Pi, params)
-            layers.append(make_layer(operators(coef, Lf), params.gamma_j))
+            coef, A, curve[i] = factor(V, share, Pi, params)
+            layers.append(make_layer(operators(coef, A), params.gamma_j))
             V = step(V, layers[-1], eta, lam, i)
     return layers, V, LossCurve(curve)
 

@@ -84,11 +84,10 @@ def _load_features(path: str) -> np.ndarray:
 
 
 def _load_samples(path: str) -> np.ndarray:
-    """(n, m) features, or an augment or forward-inv* bank as (n, N): one column per sample."""
+    """(n, m) features, or an augment or forward-inv* bank as (n, N): one column
+    per sample, the transposed view of the flattened (N, n) bank, not a copy."""
     X = _load_features(path)
-    if X.ndim > 2:
-        X = np.ascontiguousarray(X.reshape(len(X), np.prod(X.shape[1:], dtype=int)).T)
-    return X
+    return X.reshape(len(X), np.prod(X.shape[1:], dtype=int)).T if X.ndim > 2 else X
 
 
 def _load_labels(path: str) -> np.ndarray:

@@ -22,12 +22,23 @@ COUNT_LIMIT = int(np.iinfo(np.intp).max)  # a count must index a numpy axis; see
 CLASS_LIMIT = 2**16  # an explicit k past both m and this is refused; see Membership.from_labels()
 
 
+def _as_real(x, message: str) -> np.ndarray:
+    """x as a float64 array, or DataError(message) unless its elements cast
+    to float64 same_kind: complex numbers, strings and objects do not, so a
+    cast never drops an imaginary part or parses text."""
+    a = np.asarray(x)
+    if not np.can_cast(a.dtype, np.float64, "same_kind"):
+        raise DataError(message)
+    return a.astype(np.float64, copy=False)
+
+
 def check_labels(labels) -> np.ndarray:
-    """Class labels as a flat int array: finite, nonnegative whole numbers
-    below LABEL_LIMIT."""
-    y = np.asarray(labels, dtype=float).ravel()
+    """Class labels as a flat int array: real, finite, nonnegative whole
+    numbers below LABEL_LIMIT."""
+    message = f"labels must be whole numbers in 0..{LABEL_LIMIT - 1}"
+    y = _as_real(labels, message).ravel()
     if not np.all((y >= 0) & (y < LABEL_LIMIT) & (y == np.floor(y))):
-        raise DataError(f"labels must be whole numbers in 0..{LABEL_LIMIT - 1}")
+        raise DataError(message)
     return y.astype(int)
 
 
@@ -45,7 +56,8 @@ def check_whole(x, name: str, least=1, below=COUNT_LIMIT) -> int:
 class Membership:
     """The assignment of m samples to k classes. ``Membership(weights)`` takes
     soft weights: row j of the (k, m) matrix holds the diagonal of the j-th
-    class weighting matrix Pi_j, and columns sum to one. :meth:`from_labels`
+    class weighting matrix Pi_j, and columns sum to one; a scalar or an (m,)
+    vector is one class. :meth:`from_labels`
     keeps hard labels, one stable order of the samples by class and the k + 1
     bounds of the classes in that order, and makes the k x m ``weights``
     only when they are read. It is the one owner of class order:
@@ -53,7 +65,9 @@ class Membership:
     class, and ``fit_nsc`` gathers its classes by the same order and bounds."""
 
     def __init__(self, weights) -> None:
-        w = np.atleast_2d(np.asarray(weights, dtype=float))
+        w = np.atleast_2d(_as_real(weights, "membership weights must be real numbers"))
+        if w.ndim > 2:
+            raise ShapeError(f"membership weights must be a (k, m) matrix, got shape {w.shape}")
         if not np.all((w >= -COLUMN_SUM_TOL) & (w <= 1 + COLUMN_SUM_TOL)):
             raise DataError("membership weights must lie in [0, 1]")
         deviation = np.abs(w.sum(axis=0) - 1.0)

@@ -29,7 +29,7 @@ from .errors import (
     UnknownDtypeError,
     VersionError,
 )
-from .rate import check_labels
+from .rate import _as_real, check_labels
 
 MAGIC = b"RTF1"
 
@@ -49,7 +49,9 @@ IDX_MAGIC_IMAGES = 0x00000803
 class Tensor:
     """Row-major dense tensor with 1 to 4 dimensions. Data for a uint32
     (label) tensor that is not already uint32 must pass
-    :func:`redunet.rate.check_labels`, so it is never wrapped or truncated."""
+    :func:`redunet.rate.check_labels`, so it is never wrapped or truncated;
+    data for a real64 tensor must cast to float64 same_kind, so it never
+    loses an imaginary part (DataError)."""
 
     shape: tuple[int, ...]
     data: np.ndarray
@@ -62,7 +64,9 @@ class Tensor:
             raise UnknownDtypeError(f"unknown dtype code {self.dtype}")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         data = self.data
-        if self.dtype == DTYPE_UINT32 and np.asarray(data).dtype != np.uint32:
+        if self.dtype == DTYPE_REAL64:
+            data = _as_real(data, "real64 tensor data must be real numbers, not complex or text")
+        elif np.asarray(data).dtype != np.uint32:
             data = check_labels(data)
         flat = np.ascontiguousarray(data, dtype=_NUMPY_DTYPES[self.dtype]).reshape(-1)
         expected = math.prod(self.shape)
@@ -75,7 +79,7 @@ class Tensor:
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Tensor":
         """Integer arrays become uint32 (label) tensors, every other array a
-        real64 tensor."""
+        real64 tensor, which refuses complex, string and object arrays."""
         arr = np.asarray(arr)
         return cls(shape=arr.shape, data=arr,
                    dtype=DTYPE_UINT32 if arr.dtype.kind in "ui" else DTYPE_REAL64)

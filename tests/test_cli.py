@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,21 @@ def test_nsc_reads_the_bank_augment_writes_as_its_flattened_columns(tmp_path):
     assert names == ["basis_0.rtf", "basis_1.rtf", "basis_2.rtf", "means.rtf", "pred.rtf"]
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_nsc_reads_a_bank_as_a_view_of_what_it_read(tmp_path):
+    # nsc-fit and nsc-predict hold the bank once: its columns are the
+    # transposed view of the flattened file, not a C-ordered copy
+    x = np.random.default_rng(1).standard_normal((256, 2, 16, 16))
+    write_tensor(tmp_path / "bank.rtf", Tensor.from_array(x))
+    tracemalloc.start()
+    try:
+        Z = cli._load_samples(str(tmp_path / "bank.rtf"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(Z, x.reshape(len(x), -1).T)
+    assert peak < 1.5 * x.nbytes
 
 
 def test_nsc_predict_with_too_few_labels_exits_3_and_writes_nothing(tmp_path):

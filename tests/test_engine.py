@@ -4,6 +4,7 @@ the stack."""
 
 import pickle
 import struct
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -101,17 +102,36 @@ def test_factor_fills_each_class_block_from_the_class_columns(labeling, P, dtype
     V = _random(rng, (P, d, len(labels)), dtype)
     share = rng.uniform(0.5, 1.0, P)
     share /= share.sum()
-    coef, L, rates = _engine.factor(V, share, Pi, RateParams.compute(d, Pi, 0.5))
-    coef1, L1, rates1 = _engine.factor(V, share, hot, RateParams.compute(d, hot, 0.5))
+    coef, A, rates = _engine.factor(V, share, Pi, RateParams.compute(d, Pi, 0.5))
+    coef1, A1, rates1 = _engine.factor(V, share, hot, RateParams.compute(d, hot, 0.5))
     np.testing.assert_array_equal(coef, coef1)
-    np.testing.assert_allclose(L, L1, rtol=1e-12, atol=0)
     np.testing.assert_allclose(rates, rates1, rtol=1e-12, atol=0)
     # the blocks I + (a_j / s_p) V(p) diag(Pi_j) V(p)^H, filled over all m samples
     W = np.vstack([np.ones(len(labels)), hot.weights])
-    A = np.eye(d) + np.einsum("j,p,pax,jx,pbx->pjab", coef, 1 / share, V, W, V.conj())
-    np.testing.assert_allclose(L @ _engine._herm(L), A, rtol=1e-12, atol=1e-12 * np.abs(A).max())
+    full = np.eye(d) + np.einsum("j,p,pax,jx,pbx->pjab", coef, 1 / share, V, W, V.conj())
+    for stack in (A, A1):
+        np.testing.assert_allclose(stack, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
     for j in np.flatnonzero(Pi.class_sizes == 0):
-        np.testing.assert_array_equal(L[:, 1 + j], np.broadcast_to(np.eye(d), (P, d, d)))
+        np.testing.assert_array_equal(A[:, 1 + j], np.broadcast_to(np.eye(d), (P, d, d)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["dense", "spectral"])
+def test_factor_and_operators_peak_under_three_stacks(dtype):
+    # the stack A and its inverse are the only stack-sized arrays: the
+    # Cholesky factor is dropped before the inverse is made
+    P, k, d, m = 200, 10, 6, 30
+    V = _random(np.random.default_rng(36), (P, d, m), dtype)
+    V /= np.sqrt(_engine._sq_norms(V, "pax,pax->x"))
+    Pi = Membership.from_labels(np.repeat(np.arange(k), m // k))
+    params = RateParams.compute(d, Pi, 0.5)
+    stack = P * (1 + k) * d * d * np.dtype(dtype).itemsize
+    tracemalloc.start()
+    try:
+        _engine.operators(*_engine.factor(V, np.full(P, 1 / P), Pi, params)[:2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stack
 
 
 @pytest.mark.parametrize("labeling", ["contiguous", "shuffled"])

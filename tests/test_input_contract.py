@@ -80,7 +80,9 @@ def _with_nan(X):
 # labels: rate.check_labels is the one owner
 
 
-BAD_LABELS = [[0.7, 1.2, 0.2], [0, NAN, 1], [0, INF, 1], [-1, 0, 1], [0, 2.0**32, 1]]
+BAD_LABELS = [[0.7, 1.2, 0.2], [0, NAN, 1], [0, INF, 1], [-1, 0, 1], [0, 2.0**32, 1],
+              # not cast to float: the imaginary part would be dropped, the text parsed
+              [1 + 2j, 0j, 1], [1 + 0j, 0j, 1], ["1", "0", "1"], np.array([1, 0, 1], dtype=object)]
 
 
 @pytest.mark.parametrize("labels", BAD_LABELS)
@@ -510,6 +512,18 @@ def test_gaussian_mixture_means_with_nan_are_rejected():
 def test_membership_weights_with_nan_are_rejected():
     with pytest.raises(DataError):
         Membership(np.array([[NAN, 1.0], [NAN, 0.0]]))
+
+
+def test_membership_weights_are_a_real_matrix_or_one_class():
+    for weights, (k, m) in ((1.0, (1, 1)), (np.ones(4), (1, 4)), (np.eye(3), (3, 3))):
+        Pi = Membership(weights)
+        assert (Pi.k, Pi.m, Pi.class_sizes.shape) == (k, m, (k,))
+    for weights in (np.ones((1, 4, 2)), np.ones((2, 1, 3, 1))):
+        with pytest.raises(ShapeError, match="matrix"):
+            Membership(weights)
+    for weights in (np.eye(2) + 0j, [["1", "0"], ["0", "1"]]):
+        with pytest.raises(DataError, match="real"):
+            Membership(weights)
 
 
 def test_non_finite_samples_cannot_be_normalized():

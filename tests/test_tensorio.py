@@ -55,6 +55,19 @@ def test_integers_outside_uint32_are_rejected_not_wrapped(values):
     assert whole.data.tolist() == [3, 2**32 - 1]
 
 
+def test_a_real_tensor_refuses_what_does_not_cast_to_float64():
+    for data in (np.array([1 + 2j, 3 - 1j]), np.array([1 + 0j, 3 + 0j]), np.array(["a", "b"]),
+                 np.array(["1", "3"]), np.array([1.0, 3.0], dtype=object)):
+        with pytest.raises(DataError):
+            Tensor.from_array(data)
+        with pytest.raises(DataError):
+            Tensor(shape=data.shape, data=data, dtype=DTYPE_REAL64)
+    # the same_kind casts are kept: bools, integers and narrower floats
+    for ok in (np.array([True, False]), np.array([1.0, 3.0], dtype=np.float32)):
+        assert Tensor.from_array(ok).data.tolist() == ok.astype(float).tolist()
+    assert Tensor(shape=(2,), data=[1, 3]).data.tolist() == [1.0, 3.0]
+
+
 def test_round_trip_is_byte_stable(tmp_path):
     arr = np.random.default_rng(1).standard_normal((4, 4))
     a, b = tmp_path / "a.rtf", tmp_path / "b.rtf"
