@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .rate import Membership, RateParams, _as_float, _cholesky, check_whole
+from .rate import Membership, RateParams, _as_float, _as_real, _cholesky, check_whole
 
 UNIT_NORM_TOL = 1e-9
 STEP_BLOCK_BYTES = 16 << 20  # one block's class products C_j V; see samples_per_block()
@@ -157,18 +157,16 @@ def layer_stack(E, C, gamma_j, nf: int) -> tuple[np.ndarray, np.ndarray]:
         F = "P, " * nf
         raise ShapeError(f"need E ({F}d, d), C (k, {F}d, d) and gamma_j (k,) with k >= 1, "
                          f"got {e}, {c} and {g}")
-    dtype = np.complex128 if nf else np.float64
-    if not all(np.can_cast(np.asarray(X).dtype, t, "same_kind")
-               for X, t in ((E, dtype), (C, dtype), (gamma_j, np.float64))):
-        raise DataError("a layer needs real gamma_j and numeric E and C, a dense layer real ones")
+    message = "a layer needs real gamma_j and numeric E and C, a dense layer real ones"
+    E, C = (_as_real(X, message, np.complex128 if nf else np.float64) for X in (E, C))
     M = np.concatenate(([E], C)).reshape((1 + g[0], np.prod(e[:nf], dtype=int)) + e[-2:])
-    return np.ascontiguousarray(M.swapaxes(0, 1), dtype), np.asarray(gamma_j, np.float64)
+    return np.ascontiguousarray(M.swapaxes(0, 1)), _as_real(gamma_j, message)
 
 
 def check_step(eta: float = 1.0, lam: float = 0.0) -> None:
     """The step rule every layer obeys: a finite step size eta > 0 and a
     finite softmin temperature lam >= 0."""
-    if not (0 < _as_float(eta) < np.inf and 0 <= _as_float(lam) < np.inf):
+    if not (0 < _as_float(eta, "eta") < np.inf and 0 <= _as_float(lam, "lambda") < np.inf):
         raise DataError(f"need 0 < eta < inf and 0 <= lambda < inf, got {eta} and {lam}")
 
 
@@ -177,7 +175,7 @@ def check_model(layers, shape: tuple, eta: float, lam: float, eps: float) -> Non
     blocks, every operator stack of the (P, 1 + k, d, d) ``shape`` the fields
     imply and layer 0's gamma_j in every layer, which RNM1/RNS1 store once."""
     check_step(eta, lam)
-    if not 0 < _as_float(eps) < np.inf:
+    if not 0 < _as_float(eps, "eps") < np.inf:
         raise DataError(f"need 0 < eps < inf, got {eps}")
     if not layers or shape[1] < 2 or 0 in shape:
         raise ShapeError(f"a model needs a layer, a class and nonempty blocks, got "

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyClassError, NumericError, ShapeError
-from .rate import Membership, _check_features, check_whole
+from .rate import Membership, _as_real, _check_features, check_whole
 
 RANK_TOL = 1e-10
 # smallest kept s_q / s_0 the Gram path accepts; its eigenvalues carry an error
@@ -45,7 +45,8 @@ class SubspaceClassifier:
         if k == 0 or len(self.bases) != k:
             raise DataError(f"need k >= 1 class means and one basis each, got {k} means "
                             f"and {len(self.bases)} bases")
-        for j, U in enumerate(map(np.asarray, self.bases)):
+        for j, U in enumerate(self.bases):
+            U = _as_real(U, f"basis {j} must be real numbers, not complex or text")
             if U.ndim != 2 or U.shape[0] != n or U.shape[1] > n or not np.all(np.isfinite(U)):
                 raise DataError(f"basis {j} must be a finite matrix with {n} rows and at most "
                                 f"{n} columns, got shape {U.shape}")
@@ -139,7 +140,8 @@ def predict_nsc(clf: SubspaceClassifier, Z: np.ndarray) -> np.ndarray:
     features too large to square, raises NumericError.
     """
     single = np.ndim(Z) == 1
-    Z = np.asarray(np.reshape(Z, (-1, 1)) if single else Z, dtype=float)
+    Z = _as_real(np.reshape(Z, (-1, 1)) if single else Z,
+                 "features must be real numbers, not complex or text")
     if Z.ndim != 2 or Z.shape[1] == 0 or Z.shape[0] != clf.n:
         raise ShapeError(f"expected an ({clf.n}, m) feature matrix with m >= 1, "
                          f"got shape {Z.shape}")
@@ -164,8 +166,8 @@ def predict_nsc(clf: SubspaceClassifier, Z: np.ndarray) -> np.ndarray:
 def accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
     pred = np.asarray(pred).ravel()
     labels = np.asarray(labels).ravel()
-    if pred.size != labels.size:
-        raise ShapeError("prediction and label counts differ")
+    if pred.size != labels.size or not pred.size:
+        raise ShapeError(f"{pred.size} predictions for {labels.size} labels: need equal counts > 0")
     return float(np.mean(pred == labels))
 
 
@@ -186,7 +188,7 @@ def class_cosine_stats(
     """(minimum within-class, maximum absolute between-class) cosine
     similarity over distinct pairs, using hard label membership."""
     labels = Pi.labels
-    S = np.asarray(S)
+    S = _as_real(S, "similarities must be real numbers, not complex or text")
     if S.shape != (Pi.m, Pi.m):
         raise ShapeError(f"expected an ({Pi.m}, {Pi.m}) similarity matrix, got shape {S.shape}")
     same = labels[:, None] == labels[None, :]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .rate import Membership, check_whole
+from .rate import Membership, _as_float, _as_real, check_labels, check_whole
 
 _SHIFT_AXES = {"1d": (-1,), "2d": (-2, -1)}
 
@@ -50,7 +50,7 @@ def _labeled_unit_columns(blocks: list[np.ndarray]) -> tuple[np.ndarray, Members
 def gen_gaussian_sphere(spec: GaussianMixtureSpec) -> tuple[np.ndarray, Membership]:
     """Mixture of k isotropic Gaussians with unit-norm means, every sample
     projected back onto the unit sphere. Returns (n x k*m features, labels)."""
-    if not 0 < spec.sigma < np.inf:
+    if not 0 < _as_float(spec.sigma, "sigma") < np.inf:
         raise DataError(f"sigma must be positive and finite, got {spec.sigma}")
     for name in ("n", "k", "m_per_class"):
         check_whole(getattr(spec, name), name)
@@ -59,7 +59,7 @@ def gen_gaussian_sphere(spec: GaussianMixtureSpec) -> tuple[np.ndarray, Membersh
         means = rng.standard_normal((spec.k, spec.n))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
     else:
-        means = np.asarray(spec.means, dtype=float)
+        means = _as_real(spec.means, "mixture means must be real numbers, not complex or text")
         if means.shape != (spec.k, spec.n):
             raise ShapeError(f"means must be ({spec.k}, {spec.n}), got {means.shape}")
         if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):
@@ -103,7 +103,7 @@ def polar_resample(image: np.ndarray, Gamma: int, C: int) -> np.ndarray:
     row. Samples falling outside the image are zero. The grid is built once
     per call; a stack gives the (m, C, Gamma) stack of the per-image results.
     """
-    image = np.asarray(image, dtype=float)
+    image = _as_real(image, "images must be real numbers, not complex or text")
     if image.ndim not in (2, 3):
         raise ShapeError("expected an H x W image or an m x H x W stack")
     Gamma, C = check_whole(Gamma, "Gamma"), check_whole(C, "C")
@@ -149,7 +149,7 @@ def augment_shifts(
     increasing shift.
     """
     X = np.asarray(X)
-    labels = np.asarray(labels).ravel()
+    labels = check_labels(labels)
     stride = check_whole(stride, "stride")
     if kind not in _SHIFT_AXES:
         raise DataError(f"unknown augmentation kind {kind!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 from .rate import Membership, _check_features
 from .tensorio import ContainerReader
 
@@ -77,25 +77,17 @@ def sphere_project(z: np.ndarray) -> np.ndarray:
     return z / norm
 
 
-def _features(X: np.ndarray, n: int) -> np.ndarray:
-    """X as a finite (n, m) feature matrix, m >= 1."""
-    Z = _check_features(X)
-    if Z.shape[0] != n:
-        raise ShapeError(f"expected {n} rows, got {Z.shape[0]}")
-    return Z
-
-
 def estimate_membership(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """Softmin over lam * ||C_j z||: entries in [0,1], summing to one."""
     _engine.check_step(lam=lam)
-    V = _features(np.reshape(z, (-1, 1)), layer.stack.shape[-1])[None]
+    V = _check_features(np.reshape(z, (-1, 1)), layer.stack.shape[-1])[None]
     return _engine.membership(_engine.class_products(layer.stack, V), lam).ravel()
 
 
 def layer_increment(z: np.ndarray, layer: DenseLayer, lam: float) -> np.ndarray:
     """E z - sum_j gamma_j pihat_j(z) C_j z for a single feature vector."""
     _engine.check_step(lam=lam)
-    V = _features(np.reshape(z, (-1, 1)), layer.stack.shape[-1])[None]
+    V = _check_features(np.reshape(z, (-1, 1)), layer.stack.shape[-1])[None]
     return _engine.increment(V, layer.stack, layer.gamma_j, lam).ravel()
 
 
@@ -124,7 +116,7 @@ def construct(
 def forward(model: ReduNetModel, X: np.ndarray) -> np.ndarray:
     """Apply the stored layers to new unit-norm feature columns."""
     single = np.ndim(X) == 1
-    Z = _features(np.reshape(X, (-1, 1)) if single else X, model.n)
+    Z = _check_features(np.reshape(X, (-1, 1)) if single else X, model.n)
     out = _engine.forward(Z[None], model.layers, model.eta, model.lam)[0]
     return out.ravel() if single else out
 

@@ -22,14 +22,18 @@ COUNT_LIMIT = int(np.iinfo(np.intp).max)  # a count must index a numpy axis; see
 CLASS_LIMIT = 2**16  # an explicit k past both m and this is refused; see Membership.from_labels()
 
 
-def _as_real(x, message: str) -> np.ndarray:
-    """x as a float64 array, or DataError(message) unless its elements cast
-    to float64 same_kind: complex numbers, strings and objects do not, so a
-    cast never drops an imaginary part or parses text."""
+def _as_real(x, message: str, dtype=np.float64) -> np.ndarray:
+    """x as an array of ``dtype``, float64 unless given, or DataError(message)
+    unless its elements cast to it same_kind: to float64, complex numbers,
+    strings and objects do not, so a cast never drops an imaginary part or
+    parses text. An array of that type already is returned itself. The one
+    owner of reading numbers from outside: every public function reads its
+    real arrays and parameters through it or :func:`_as_float`, and only
+    spectra and spectral operators are read as complex128."""
     a = np.asarray(x)
-    if not np.can_cast(a.dtype, np.float64, "same_kind"):
+    if not np.can_cast(a.dtype, dtype, "same_kind"):
         raise DataError(message)
-    return a.astype(np.float64, copy=False)
+    return a.astype(dtype, copy=False)
 
 
 def check_labels(labels) -> np.ndarray:
@@ -146,13 +150,20 @@ class Membership:
         return X[..., cols] * root, cols, root
 
 
-def _as_float(x) -> float:
-    """x as a float; a Python int beyond the float range reads as +-inf, which
-    every range check on a parameter rejects."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+def _as_float(x, name: str) -> float:
+    """The parameter ``name`` as a float: a Python int beyond the float range
+    reads as +-inf, which every range check on a parameter rejects; any other
+    x must be one real number (:func:`_as_real`), else DataError, for a
+    complex number, text, None or an array too."""
+    if isinstance(x, int):
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    a = _as_real(x, message := f"{name} must be a real number, got {x!r}")
+    if a.ndim:
+        raise DataError(message)
+    return float(a)
 
 
 def _coefficients(n: int, counts, eps: float) -> np.ndarray:
@@ -162,7 +173,7 @@ def _coefficients(n: int, counts, eps: float) -> np.ndarray:
     positive where n and the count are, so eps^2 may neither underflow nor
     overflow."""
     counts = np.asarray(counts, dtype=float)
-    e = _as_float(eps)
+    e = _as_float(eps, "eps")
     with np.errstate(all="ignore"):
         a = np.where(counts > 0, n / (counts * np.float64(e) ** 2), 0.0)
     if not (0 < e < np.inf and np.all((a < np.inf) & ((a > 0) | (n * counts <= 0)))):
@@ -192,10 +203,12 @@ class RateParams:
         return cls(eps=float(eps), alpha=float(a[0]), alpha_j=a[1:], gamma_j=sizes / Pi.m)
 
 
-def _check_features(Z: np.ndarray) -> np.ndarray:
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] == 0:
-        raise ShapeError(f"expected an (n, m) feature matrix with m >= 1, got shape {Z.shape}")
+def _check_features(Z: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Z as a finite (n, m) float64 feature matrix, m >= 1, of n rows if n is
+    given: the matrix itself if it is float64 already, in whatever layout."""
+    Z = _as_real(Z, "features must be real numbers, not complex or text")
+    if Z.ndim != 2 or Z.shape[1] == 0 or n not in (None, Z.shape[0]):
+        raise ShapeError(f"expected an ({n or 'n'}, m) feature matrix with m >= 1, got {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise NumericError("feature matrix contains non-finite entries")
     return Z

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _engine
 from .errors import BadMagicError, DataError, FormatError, NumericError, ShapeError
-from .rate import Membership, RateParams, check_whole
+from .rate import Membership, RateParams, _as_float, _as_real, check_whole
 from .tensorio import ContainerReader
 
 INV_MAGIC = b"RNS1"
@@ -47,6 +47,7 @@ KIND_SHIFT1D = "shift1d"
 KIND_TRANSLATE2D = "translate2d"
 # each kind's signal axes; its RNS1 kind code is 1 + its index here, which is its number of axes
 _KIND_AXES = {KIND_SHIFT1D: ("T",), KIND_TRANSLATE2D: ("H", "W")}
+_REAL_SIGNALS = "signals must be real numbers, not complex or text"
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def idft_2d(v: np.ndarray) -> np.ndarray:
 def circulant(z: np.ndarray) -> np.ndarray:
     """T x T matrix whose column t is z cyclically shifted down by t;
     multiplication by it performs circular convolution with z."""
-    z = np.asarray(z, dtype=float).ravel()
+    z = _as_real(z, _REAL_SIGNALS).ravel()
     T = z.size
     idx = (np.arange(T)[:, None] - np.arange(T)[None, :]) % T
     return z[idx]
@@ -93,8 +94,7 @@ def _convolve(kernels: np.ndarray, x: np.ndarray, spec: str, nd: int) -> np.ndar
 
 
 def _circular_convolve(kernel: np.ndarray, signal: np.ndarray, nd: int) -> np.ndarray:
-    kernel = np.asarray(kernel, dtype=float)
-    signal = np.asarray(signal, dtype=float)
+    kernel, signal = _as_real(kernel, _REAL_SIGNALS), _as_real(signal, _REAL_SIGNALS)
     if signal.ndim < nd or kernel.shape[-nd:] != signal.shape[-nd:]:
         raise ShapeError(f"kernel extent {kernel.shape[-nd:]} differs from signal "
                          f"extent {signal.shape[-nd:]}")
@@ -113,7 +113,7 @@ def circular_convolve_2d(kernel: np.ndarray, image: np.ndarray) -> np.ndarray:
 
 def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     """sign(v) * max(|v| - tau, 0), applied entrywise, for tau >= 0."""
-    if not tau >= 0:
+    if not _as_float(tau, "threshold") >= 0:
         raise DataError(f"threshold must be nonnegative, got {tau}")
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
@@ -144,7 +144,7 @@ def lift_random_filters_1d(
     ``X`` may be (m, T) single-channel or (m, C_in, T) multi-channel; in the
     latter case each output channel sums the responses over input channels.
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_real(X, _REAL_SIGNALS)
     if X.ndim == 2:
         X = X[:, None, :]
     if X.ndim != 3:
@@ -157,7 +157,7 @@ def lift_random_filters_2d(
 ) -> np.ndarray:
     """2D analog of :func:`lift_random_filters_1d` for (m, H, W) images,
     with K x K kernels; returns (m, C, H, W)."""
-    X = np.asarray(X, dtype=float)
+    X = _as_real(X, _REAL_SIGNALS)
     if X.ndim != 3:
         raise ShapeError("expected (m, H, W) input")
     return _lift(X[:, None], C, K, seed, tau, 2)
@@ -227,7 +227,7 @@ def spectral_rate_reduction(
     """Shift-invariant rate reduction evaluated from full unitary spectra
     (P, C, m): the rates of the full shift family, divided by the number of
     copies it contains. The spectra must be finite, with every extent >= 1."""
-    V = np.asarray(V)
+    V = _as_real(V, "spectra must be numbers, not text or objects", np.complex128)
     if V.ndim != 3 or not all(V.shape):
         raise ShapeError(f"expected (P, C, m) spectra with every extent >= 1, got shape {V.shape}")
     if not np.all(np.isfinite(V)):
@@ -320,7 +320,7 @@ def _from_spectral(V: np.ndarray, half: _HalfSpectrum) -> np.ndarray:
 
 def normalize_samples_time(Zbar: np.ndarray) -> np.ndarray:
     """Scale every sample (first axis) to unit Frobenius norm."""
-    Zbar = np.asarray(Zbar, dtype=float)
+    Zbar = _as_real(Zbar, _REAL_SIGNALS)
     norms = np.sqrt(np.sum(Zbar**2, axis=tuple(range(1, Zbar.ndim)), keepdims=True))
     if not np.all((norms > 0) & (norms < np.inf)):
         raise NumericError("cannot normalize a zero or non-finite sample")
@@ -330,7 +330,7 @@ def normalize_samples_time(Zbar: np.ndarray) -> np.ndarray:
 def _construct_inv(
     kind: str, Zbar: np.ndarray, Pi: Membership, L: int, eta: float, eps: float, lam: float
 ) -> tuple[InvariantModel, np.ndarray, _engine.LossCurve]:
-    Zbar = np.asarray(Zbar, dtype=float)
+    Zbar = _as_real(Zbar, _REAL_SIGNALS)
     axes = _KIND_AXES[kind]
     if Zbar.ndim != 2 + len(axes) or not all(Zbar.shape):
         raise ShapeError(f"expected (m, C, {', '.join(axes)}) input with m, C and extents >= 1")
@@ -369,7 +369,7 @@ def construct_inv2d(
 
 
 def _forward_inv(kind: str, model: InvariantModel, Zbar: np.ndarray) -> np.ndarray:
-    Zbar = np.asarray(Zbar, dtype=float)
+    Zbar = _as_real(Zbar, _REAL_SIGNALS)
     if model.kind != kind:
         raise ShapeError(f"model was built for {model.kind}, not {kind}")
     expected = (model.channels, *model.dims)

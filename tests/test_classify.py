@@ -170,8 +170,9 @@ def test_shape_mismatches_are_rejected():
     clf = fit_nsc(Z, labels, r=2)
     with pytest.raises(ShapeError):
         predict_nsc(clf, Z[:-1])
-    with pytest.raises(ShapeError):
-        accuracy(np.zeros(3), np.zeros(4))
+    for pred, labels in ((np.zeros(3), np.zeros(4)), ([], [])):
+        with pytest.raises(ShapeError):
+            accuracy(pred, labels)
 
 
 def test_cosine_similarity_matrix_basics():

@@ -26,6 +26,8 @@ from redunet import (
     SubspaceSpec,
     Tensor,
     augment_shifts,
+    circulant,
+    circular_convolve_1d,
     class_cosine_stats,
     coding_rate_partitioned,
     compression_operator,
@@ -34,6 +36,7 @@ from redunet import (
     construct_inv2d,
     cosine_similarity_matrix,
     estimate_membership,
+    expansion_operator,
     fit_nsc,
     forward,
     forward_inv1d,
@@ -48,12 +51,13 @@ from redunet import (
     rate_reduction,
     read_tensor,
     save_model,
+    soft_threshold,
     sphere_project,
     translate2d,
     write_tensor,
 )
 from redunet.cli import build_parser, main
-from redunet.rate import check_labels
+from redunet.rate import _check_features, check_labels
 from redunet.spectral import spectral_rate_reduction
 
 NAN = float("nan")
@@ -93,6 +97,8 @@ def test_labels_must_be_nonnegative_whole_numbers(labels):
         Membership.from_labels(labels)
     with pytest.raises(DataError, match="whole numbers"):
         fit_nsc(np.eye(3), labels, r=1)
+    with pytest.raises(DataError, match="whole numbers"):
+        augment_shifts(np.eye(3), labels, stride=1, kind="1d")
 
 
 def test_whole_number_labels_come_back_as_ints():
@@ -622,6 +628,129 @@ def test_every_count_seed_shift_and_class_index_is_a_whole_number_in_range(argum
         out = call(value)
         if expected is not None:
             np.testing.assert_array_equal(out, expected)
+
+
+# ---------------------------------------------------------------------------
+# real numbers: rate._as_real and rate._as_float are the one owner
+
+
+def _dense_setup():
+    """Unit features (3, 6), their membership, a one-layer model and a classifier."""
+    Z, y = _dense_problem()
+    Pi = Membership.from_labels(y)
+    return Z, Pi, construct(Z, Pi, L=1, eta=0.5, eps=0.5)[0], fit_nsc(Z, y, r=1)
+
+
+def _signal_setup():
+    """Unit (6, 2, 4) samples, their membership and a one-layer 1D model."""
+    X, y = _signal_problem()
+    Pi = Membership.from_labels(y)
+    return X, Pi, construct_inv1d(X, Pi, L=1, eta=0.5, eps=0.5)[0]
+
+
+_Z, _PI, _MODEL, _CLF = _dense_setup()
+_X, _PI_X, _MODEL_X = _signal_setup()
+_IMAGES = normalize_samples_time(np.random.default_rng(4).standard_normal((6, 1, 2, 3)))
+
+# intake -> (the call with that real array set to x, a valid x)
+REAL_ARRAYS = {
+    "rate_reduction": (lambda x: rate_reduction(x, _PI, 0.5), _Z),
+    "expansion_operator": (lambda x: expansion_operator(x, RateParams.compute(3, _PI, 0.5)), _Z),
+    "construct": (lambda x: construct(x, _PI, L=1, eta=0.5, eps=0.5), _Z),
+    "forward": (lambda x: forward(_MODEL, x), _Z),
+    "layer_increment": (lambda x: layer_increment(x, _MODEL.layers[0], 500.0), _Z[:, 0]),
+    "estimate_membership": (lambda x: estimate_membership(x, _MODEL.layers[0], 500.0), _Z[:, 0]),
+    "fit_nsc": (lambda x: fit_nsc(x, _PI.labels, r=1), _Z),
+    "predict_nsc": (lambda x: predict_nsc(_CLF, x), _Z),
+    "classifier-means": (lambda x: SubspaceClassifier(means=x, bases=(np.eye(2, 1),) * 2),
+                         np.zeros((2, 2))),
+    "classifier-bases": (lambda x: SubspaceClassifier(means=np.zeros((2, 2)),
+                                                      bases=(x, np.eye(2, 1))), np.eye(2, 1)),
+    "cosine_similarity_matrix": (cosine_similarity_matrix, _Z),
+    "class_cosine_stats": (lambda x: class_cosine_stats(x, _PI), cosine_similarity_matrix(_Z)),
+    "construct_inv1d": (lambda x: construct_inv1d(x, _PI_X, L=1, eta=0.5, eps=0.5), _X),
+    "construct_inv2d": (lambda x: construct_inv2d(x, _PI_X, L=1, eta=0.5, eps=0.5), _IMAGES),
+    "forward_inv1d": (lambda x: forward_inv1d(_MODEL_X, x), _X),
+    "normalize_samples_time": (normalize_samples_time, _SIGNALS),
+    "lift1d": (lambda x: lift_random_filters_1d(x, 2, 3, 0), _SIGNALS),
+    "lift2d": (lambda x: lift_random_filters_2d(x, 2, 3, 0), _IMAGE[None]),
+    "circulant": (circulant, _SIGNALS[0]),
+    "convolve-kernel": (lambda x: circular_convolve_1d(x, _SIGNALS[1]), _SIGNALS[0]),
+    "convolve-signal": (lambda x: circular_convolve_1d(_SIGNALS[0], x), _SIGNALS[1]),
+    "polar_resample": (lambda x: polar_resample(x, 12, 3), _IMAGE),
+    "gaussians-means": (lambda x: _gaussians(means=x), np.eye(2, 3)),
+}
+
+# each used to be read as its real part (numpy's ComplexWarning the only sign)
+# or parsed from text
+NOT_REAL = {
+    "complex": lambda X: X + 1e-3j,
+    "complex of zero imaginary part": lambda X: X + 0j,
+    "numeric text": lambda X: X.astype(str),
+    "objects": lambda X: X.astype(object),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL)
+@pytest.mark.parametrize("intake", REAL_ARRAYS)
+def test_every_real_array_intake_refuses_complex_text_and_objects(intake, bad):
+    call, good = REAL_ARRAYS[intake]
+    call(good)
+    with pytest.raises(DataError, match="real"):
+        call(NOT_REAL[bad](good))
+
+
+# parameter -> the call with that parameter set to x
+REAL_PARAMETERS = {
+    "construct-eta": lambda x: construct(_Z, _PI, L=1, eta=x, eps=0.5),
+    "construct_inv1d-eta": lambda x: construct_inv1d(_X, _PI_X, L=1, eta=x, eps=0.5),
+    "construct-lambda": lambda x: construct(_Z, _PI, L=1, eta=0.5, eps=0.5, lam=x),
+    "estimate_membership-lambda": lambda x: estimate_membership(_Z[:, 0], _MODEL.layers[0], x),
+    "construct-eps": lambda x: construct(_Z, _PI, L=1, eta=0.5, eps=x),
+    "rate_reduction-eps": lambda x: rate_reduction(_Z, _PI, x),
+    "model-eps": lambda x: dataclasses.replace(_MODEL, eps=x),
+    "soft_threshold-tau": lambda x: soft_threshold(_SIGNALS, x),
+    "lift1d-tau": lambda x: lift_random_filters_1d(_SIGNALS, 2, 3, 0, tau=x),
+    "gaussians-sigma": lambda x: _gaussians(sigma=x),
+}
+
+
+@pytest.mark.parametrize("bad", [1j, "0.5", None, np.array([0.5, 0.5])], ids=repr)
+@pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+def test_every_parameter_is_one_real_number(parameter, bad):
+    # a complex or text eta, tau or sigma, and a None eta, used to die in a bare TypeError
+    call = REAL_PARAMETERS[parameter]
+    for good in (0.5, np.float32(0.5), np.array(0.5)):
+        call(good)
+    with pytest.raises(DataError, match="must be a real number"):
+        call(bad)
+
+
+@pytest.mark.parametrize("dtype", [int, bool, np.float32])
+def test_integer_bool_and_float32_features_read_as_float64(dtype):
+    Z = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]]).astype(dtype)
+    Pi = Membership.from_labels([0, 0, 1, 1])
+    assert rate_reduction(Z, Pi, 0.5) == rate_reduction(Z.astype(float), Pi, 0.5)
+    np.testing.assert_array_equal(cosine_similarity_matrix(Z),
+                                  cosine_similarity_matrix(Z.astype(float)))
+
+
+def test_a_float64_feature_bank_is_read_in_place():
+    # the transposed view of a flattened (N, n) bank, as the CLI reads one
+    bank = np.random.default_rng(5).standard_normal((12, 3)).T
+    assert bank.flags.f_contiguous and _check_features(bank) is bank
+    assert _check_features(bank, 3) is bank
+    with pytest.raises(ShapeError, match=r"\(4, m\)"):
+        _check_features(bank, 4)
+
+
+def test_spectra_may_be_complex_but_not_text_or_objects():
+    V = np.fft.fft(_X, axis=-1, norm="ortho").T
+    rates = spectral_rate_reduction(V, _PI_X, 0.5)
+    assert spectral_rate_reduction(V.tolist(), _PI_X, 0.5) == rates
+    for bad in (V.astype(str), V.astype(object)):
+        with pytest.raises(DataError, match="spectra"):
+            spectral_rate_reduction(bad, _PI_X, 0.5)
 
 
 # ---------------------------------------------------------------------------
